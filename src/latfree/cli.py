@@ -11,7 +11,7 @@ import json
 import sys
 from typing import Optional
 
-from .core import LatticeError, Sublattice, Vec
+from .core import InvariantError, LatticeError, Sublattice, Vec
 from .polygon import (
     GeometryError,
     Polygon,
@@ -20,7 +20,6 @@ from .polygon import (
     pick_identity,
 )
 from .reduction import (
-    ClassificationError,
     NotLatticeFreeError,
     classify_type,
     lattice_diameter,
@@ -350,7 +349,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (LatticeError, GeometryError, SlopeError, NotLatticeFreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ClassificationError as exc:
+    except InvariantError as exc:  # includes ClassificationError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

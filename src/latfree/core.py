@@ -17,6 +17,14 @@ class LatticeError(ValueError):
     """Raised for degenerate or otherwise invalid lattice data."""
 
 
+class InvariantError(RuntimeError):
+    """Raised when an internal invariant fails.
+
+    Never caused by malformed input: it signals an inconsistency in the
+    computation itself, which the command line reports with exit code 2.
+    """
+
+
 class Vec(NamedTuple):
     """A point or vector of Z^2."""
 
@@ -45,6 +53,28 @@ class Vec(NamedTuple):
 ORIGIN = Vec(0, 0)
 E1 = Vec(1, 0)
 E2 = Vec(0, 1)
+
+
+def int_pair(value, what: str, error: type[ValueError] = LatticeError) -> Vec:
+    """Read a JSON pair of integers; any other shape raises ``error``.
+
+    Floats, strings and booleans are rejected rather than rounded.
+    """
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        x1, x2 = value
+        if type(x1) is int and type(x2) is int:  # not bool, float or str
+            return Vec(x1, x2)
+    raise error(f"{what} must be a pair of integers, got {value!r}")
+
+
+def int_pairs(
+    value, what: str, error: type[ValueError] = LatticeError, count: int | None = None
+) -> list[Vec]:
+    """Read a JSON list of integer pairs, of length ``count`` when given."""
+    if not isinstance(value, (list, tuple)) or (count is not None and len(value) != count):
+        size = "a list" if count is None else f"a list of {count}"
+        raise error(f"{what} must be {size} integer pairs")
+    return [int_pair(v, what, error) for v in value]
 
 
 class Mat2(NamedTuple):
@@ -293,11 +323,11 @@ class Sublattice:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Sublattice":
-        if "matrix" in obj:
-            (a11, a12), (a21, a22) = obj["matrix"]
-            return cls.from_matrix(Mat2(int(a11), int(a12), int(a21), int(a22)))
-        if "delta" in obj and "n" in obj:
-            return cls.rectangular(int(obj["delta"]), int(obj["n"]))
+        if isinstance(obj, dict) and "matrix" in obj:
+            (a11, a12), (a21, a22) = int_pairs(obj["matrix"], "lattice 'matrix'", count=2)
+            return cls.from_matrix(Mat2(a11, a12, a21, a22))
+        if isinstance(obj, dict) and "delta" in obj and "n" in obj:
+            return cls.rectangular(*int_pair([obj["delta"], obj["n"]], "lattice 'delta'/'n'"))
         raise LatticeError("lattice object needs either 'matrix' or 'delta'/'n'")
 
 
@@ -358,6 +388,7 @@ class AffineMap:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "AffineMap":
-        (a11, a12), (a21, a22) = obj["linear"]
-        t1, t2 = obj["translation"]
-        return cls(Mat2(int(a11), int(a12), int(a21), int(a22)), Vec(int(t1), int(t2)))
+        if not isinstance(obj, dict) or "linear" not in obj or "translation" not in obj:
+            raise LatticeError("affine map object needs 'linear' and 'translation'")
+        (a11, a12), (a21, a22) = int_pairs(obj["linear"], "affine map 'linear'", count=2)
+        return cls(Mat2(a11, a12, a21, a22), int_pair(obj["translation"], "affine map 'translation'"))

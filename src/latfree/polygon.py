@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .core import AffineMap, Sublattice, Vec
+from .core import AffineMap, InvariantError, Sublattice, Vec, int_pairs
 
 
 class GeometryError(ValueError):
@@ -119,16 +119,14 @@ class Polygon:
     def contains(self, p: Vec) -> bool:
         return all((b - a).cross(p - a) >= 0 for a, b in self.edges())
 
-    def contains_strictly(self, p: Vec) -> bool:
-        return all((b - a).cross(p - a) > 0 for a, b in self.edges())
-
     def to_obj(self) -> dict:
         return {"vertices": [list(v) for v in self.vertices]}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Polygon":
-        pts = [Vec(int(x1), int(x2)) for x1, x2 in obj["vertices"]]
-        return convex_hull(pts)
+        if not isinstance(obj, dict) or "vertices" not in obj:
+            raise GeometryError("polygon object needs a 'vertices' list")
+        return convex_hull(int_pairs(obj["vertices"], "polygon 'vertices'", GeometryError))
 
 
 def convex_hull(points: Iterable[Vec]) -> Polygon:
@@ -263,7 +261,8 @@ def chord_interval(poly: Polygon, line: Line) -> Optional[tuple[Fraction, Fracti
         else:
             if hi is None or bound < hi:
                 hi = bound
-    assert lo is not None and hi is not None
+    if lo is None or hi is None:
+        raise InvariantError("a two-dimensional polygon bounds every line on both sides")
     if lo > hi:
         return None
     return lo, hi
@@ -275,7 +274,8 @@ def segment_splits(poly: Polygon, seg: Segment) -> bool:
     if not line_splits(poly, line):
         return False
     chord = chord_interval(poly, line)
-    assert chord is not None
+    if chord is None:
+        raise InvariantError("a splitting line meets the polygon")
     lo, hi = chord
     return lo >= 0 and hi <= 1
 
@@ -286,7 +286,8 @@ def ray_splits(poly: Polygon, origin: Vec, direction: Vec) -> bool:
     if not line_splits(poly, line):
         return False
     chord = chord_interval(poly, line)
-    assert chord is not None
+    if chord is None:
+        raise InvariantError("a splitting line meets the polygon")
     return chord[0] >= 0
 
 

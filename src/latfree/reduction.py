@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .core import E2, ORIGIN, AffineMap, Mat2, Sublattice, Vec, primitive_to
+from .core import E2, ORIGIN, AffineMap, InvariantError, Mat2, Sublattice, Vec, primitive_to
 from .polygon import (
     Line,
     Polygon,
@@ -34,10 +34,6 @@ class NotLatticeFreeError(ValueError):
     """Raised when an operation requires an n*Z^2-free polygon."""
 
 
-class ClassificationError(RuntimeError):
-    """Raised when no classification row applies; must never fire."""
-
-
 class DiameterWitness(NamedTuple):
     length: int
     segment: Segment
@@ -46,6 +42,39 @@ class DiameterWitness(NamedTuple):
 class TypeTag(NamedTuple):
     kind: str  # one of "I".."VI"
     n: int
+
+
+class SplitProfile(NamedTuple):
+    """The table key of a normalized image.
+
+    ``case`` is "A" when neither x1 = 0 nor x1 = n splits (no index is
+    computed then), "B" when only x1 = 0 splits (after the initial
+    reflection) and "C" when both do; ``i`` and ``j`` are the split indices
+    on the lines x2 = 0 and x2 = n.
+    """
+
+    case: str
+    i: Optional[int]
+    j: Optional[int]
+
+
+class ClassificationError(InvariantError):
+    """Raised when the decision table has no row for a polygon, or the row's
+    image fails the type's clause.
+
+    Carries the input ``polygon`` and the ``profile`` (a :class:`SplitProfile`)
+    of its normalized image.
+    """
+
+    def __init__(self, reason: str, polygon: Polygon, profile: SplitProfile):
+        case, i, j = profile
+        vertices = [tuple(v) for v in polygon.vertices]
+        super().__init__(
+            f"classification miss ({reason}): case {case}, split profile ({i}, {j}), "
+            f"polygon {vertices}"
+        )
+        self.polygon = polygon
+        self.profile = profile
 
 
 @dataclass(frozen=True)
@@ -72,7 +101,8 @@ def lattice_diameter(poly: Polygon) -> DiameterWitness:
             if g > best:
                 best = g
                 best_pair = (p, q)
-    assert best_pair is not None and best >= 1
+    if best_pair is None or best < 1:
+        raise InvariantError("a polygon has at least two lattice points")
     return DiameterWitness(best, Segment(*best_pair))
 
 
@@ -87,7 +117,8 @@ def _chord_cell_index(poly: Polygon, x1: int, n: int) -> int:
         return 0
     lo, hi = chord
     u = math.floor(lo / n)
-    assert u * n < lo and hi < (u + 1) * n, "chord touches a forbidden lattice point"
+    if not (u * n < lo and hi < (u + 1) * n):
+        raise InvariantError("chord touches a forbidden lattice point")
     return u
 
 
@@ -130,8 +161,10 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
     image = apply_affine(image, shear)
 
     stats = bounding_stats(image)
-    assert -n + 1 <= stats.west and stats.east <= 2 * n - 1, "normalized image escapes the slab"
-    assert full.is_automorphism_of(lattice)
+    if not (-n + 1 <= stats.west and stats.east <= 2 * n - 1):
+        raise InvariantError("normalized image escapes the slab")
+    if not full.is_automorphism_of(lattice):
+        raise InvariantError("normalizing map is not an automorphism of n*Z^2")
     return NormalizationResult(full, image, c)
 
 
@@ -225,36 +258,6 @@ def satisfies_type(poly: Polygon, tag: TypeTag) -> bool:
 # --- classification --------------------------------------------------------
 
 
-def _refl_x1_half(n: int) -> AffineMap:
-    # x -> (n - x1, x2)
-    return AffineMap(Mat2(-1, 0, 0, 1), Vec(n, 0))
-
-
-def _refl_x2_half(n: int) -> AffineMap:
-    # x -> (x1, n - x2)
-    return AffineMap(Mat2(1, 0, 0, -1), Vec(0, n))
-
-
-def _refl_x1_axis() -> AffineMap:
-    # x -> (-x1, x2)
-    return AffineMap(Mat2(-1, 0, 0, 1), ORIGIN)
-
-
-def _rot90_shift(n: int) -> AffineMap:
-    # x -> (n - x2, x1)
-    return AffineMap(Mat2(0, -1, 1, 0), Vec(n, 0))
-
-
-def _swap_axes() -> AffineMap:
-    # x -> (x2, x1)
-    return AffineMap(Mat2(0, 1, 1, 0), ORIGIN)
-
-
-def _point_refl(n: int) -> AffineMap:
-    # x -> (n - x1, n - x2)
-    return AffineMap(Mat2(-1, 0, 0, -1), Vec(n, n))
-
-
 def _split_index(poly: Polygon, y: int, n: int) -> int:
     """Which of the three unit segments on the line x2 = y splits the polygon.
 
@@ -267,51 +270,52 @@ def _split_index(poly: Polygon, y: int, n: int) -> int:
     return 0
 
 
-# Decision rows: split profile -> (type kind, finishing maps applied in order).
-# Case B is the one-vertical-line configuration (the line x1 = 0 splits after
-# an optional reflection); case C has both x1 = 0 and x1 = n splitting.
-_CASE_B_ROWS: dict[tuple[int, int], tuple[str, tuple[str, ...]]] = {
-    (0, 0): ("I", ()),
-    (1, 0): ("V", ()),
-    (0, 1): ("V", ("refl_x2_half",)),
-    (2, 0): ("V", ("refl_x1_axis",)),
-    (0, 2): ("V", ("refl_x2_half", "refl_x1_axis")),
-    (1, 1): ("III", ("shift_right",)),
-    (2, 2): ("III", ("refl_x1_half",)),
-    (1, 2): ("VI", ()),
-    (2, 1): ("VI", ("refl_x2_half",)),
+_IDENTITY = Mat2(1, 0, 0, 1)
+_FLIP_X1 = Mat2(-1, 0, 0, 1)
+_FLIP_X2 = Mat2(1, 0, 0, -1)
+_HALF_TURN = Mat2(-1, 0, 0, -1)
+_QUARTER_TURN = Mat2(0, -1, 1, 0)
+_SWAP = Mat2(0, 1, 1, 0)
+
+# Decision rows: split profile (i, j) -> (type, L, t), where the finishing
+# automorphism is x -> L x + n*t.  Case B is the one-vertical-line
+# configuration (the line x1 = 0 splits after an optional reflection); case C
+# has both x1 = 0 and x1 = n splitting.  Profiles without a row, such as the
+# excluded case C pairs (3, 1) and (1, 3), are classification misses.
+#
+# Case B (1, 1) has no row because it cannot occur.  There the chords on
+# x2 = 0 and x2 = n lie in (-n, 0) and the chord on x1 = 0 lies in (0, n).
+# A point of the image with x1 >= 0 and x2 <= 0 (or x2 >= n), joined to the
+# chord on x1 = 0, would put a point of the x2 = 0 (x2 = n) chord at
+# x1 >= 0, so the image meets x1 >= 0 only inside 0 < x2 < n.  Normalization
+# puts a longest lattice string on a column x1 = c >= 0, so that string is
+# (c, s)..(c, s + l) with 1 <= s and s + l <= n - 1.  The vertices
+# D = (d1, d2) with d2 <= -1 and U = (u1, u2) with u2 >= n + 1 have
+# d1, u1 < 0.  If u1 >= d1, the segment from D to (c, s) crosses x1 = u1 at
+# height at most s, so the image holds (u1, s)..(u1, n + 1); otherwise the
+# segment from U to (c, s + l) gives (d1, -1)..(d1, s + l).  Either string
+# has at least l + 3 points, which contradicts l being the lattice diameter.
+_CASE_B_ROWS: dict[tuple[int, int], tuple[str, Mat2, tuple[int, int]]] = {
+    (0, 0): ("I", _IDENTITY, (0, 0)),
+    (1, 0): ("V", _IDENTITY, (0, 0)),
+    (0, 1): ("V", _FLIP_X2, (0, 1)),  # (x1, n - x2)
+    (2, 0): ("V", _FLIP_X1, (0, 0)),  # (-x1, x2)
+    (0, 2): ("V", _HALF_TURN, (0, 1)),  # (-x1, n - x2)
+    (2, 2): ("III", _FLIP_X1, (1, 0)),  # (n - x1, x2)
+    (1, 2): ("VI", _IDENTITY, (0, 0)),
+    (2, 1): ("VI", _FLIP_X2, (0, 1)),  # (x1, n - x2)
 }
 
-_CASE_C_ROWS: dict[tuple[int, int], tuple[str, tuple[str, ...]]] = {
-    (0, 0): ("I", ()),
-    (2, 2): ("II", ()),
-    (2, 0): ("III", ("rot90_shift",)),
-    (0, 2): ("III", ("swap_axes",)),
-    (2, 3): ("IV", ()),
-    (1, 2): ("IV", ("point_refl",)),
-    (2, 1): ("IV", ("refl_x1_half",)),
-    (3, 2): ("IV", ("refl_x2_half",)),
+_CASE_C_ROWS: dict[tuple[int, int], tuple[str, Mat2, tuple[int, int]]] = {
+    (0, 0): ("I", _IDENTITY, (0, 0)),
+    (2, 2): ("II", _IDENTITY, (0, 0)),
+    (2, 0): ("III", _QUARTER_TURN, (1, 0)),  # (n - x2, x1)
+    (0, 2): ("III", _SWAP, (0, 0)),  # (x2, x1)
+    (2, 3): ("IV", _IDENTITY, (0, 0)),
+    (1, 2): ("IV", _HALF_TURN, (1, 1)),  # (n - x1, n - x2)
+    (2, 1): ("IV", _FLIP_X1, (1, 0)),  # (n - x1, x2)
+    (3, 2): ("IV", _FLIP_X2, (0, 1)),  # (x1, n - x2)
 }
-
-_FORBIDDEN_C = {(3, 1), (1, 3)}
-
-
-def _named_map(name: str, n: int) -> AffineMap:
-    if name == "refl_x1_half":
-        return _refl_x1_half(n)
-    if name == "refl_x2_half":
-        return _refl_x2_half(n)
-    if name == "refl_x1_axis":
-        return _refl_x1_axis()
-    if name == "rot90_shift":
-        return _rot90_shift(n)
-    if name == "swap_axes":
-        return _swap_axes()
-    if name == "point_refl":
-        return _point_refl(n)
-    if name == "shift_right":
-        return AffineMap.translate(Vec(n, 0))
-    raise ValueError(name)
 
 
 def classify_type(poly: Polygon, n: int) -> tuple[AffineMap, TypeTag]:
@@ -319,7 +323,9 @@ def classify_type(poly: Polygon, n: int) -> tuple[AffineMap, TypeTag]:
 
     Returns an affine automorphism of n*Z^2 together with the tag; applying
     the map to the polygon yields an image that satisfies the tag's clause,
-    which callers can re-verify with :func:`satisfies_type`.
+    which is re-verified with :func:`satisfies_type` before returning.
+    Raises :class:`ClassificationError` when the table has no row for the
+    split profile or the image fails the clause.
     """
     norm = slab_normalize(poly, n)
     image, total = norm.image, norm.map
@@ -328,73 +334,25 @@ def classify_type(poly: Polygon, n: int) -> tuple[AffineMap, TypeTag]:
     right = line_splits(image, Line.vertical(n))
 
     if not left and not right:
-        tag = TypeTag("I", n)
-        if satisfies_type(image, tag):
-            return total, tag
-        return _search_classification(poly, image, total, n)
+        profile = SplitProfile("A", None, None)
+        kind = "I"
+    else:
+        if right and not left:
+            refl = AffineMap(_FLIP_X1, Vec(n, 0))  # x -> (n - x1, x2)
+            image = apply_affine(image, refl)
+            total = refl.compose(total)
+            right = False
+        case = "C" if right else "B"
+        profile = SplitProfile(case, _split_index(image, 0, n), _split_index(image, n, n))
+        row = (_CASE_C_ROWS if right else _CASE_B_ROWS).get((profile.i, profile.j))
+        if row is None:
+            raise ClassificationError("no table row", poly, profile)
+        kind, linear, (t1, t2) = row
+        step = AffineMap(linear, Vec(t1 * n, t2 * n))
+        image = apply_affine(image, step)
+        total = step.compose(total)
 
-    if right and not left:
-        refl = _refl_x1_half(n)
-        image = apply_affine(image, refl)
-        total = refl.compose(total)
-        left, right = True, False
-
-    i = _split_index(image, 0, n)
-    j = _split_index(image, n, n)
-    rows = _CASE_C_ROWS if right else _CASE_B_ROWS
-    if right and (i, j) in _FORBIDDEN_C:
-        raise ClassificationError("classification failure: excluded split pair occurred")
-
-    row = rows.get((i, j))
-    if row is not None:
-        kind, map_names = row
-        for name in map_names:
-            step = _named_map(name, n)
-            image = apply_affine(image, step)
-            total = step.compose(total)
-        tag = TypeTag(kind, n)
-        if satisfies_type(image, tag):
-            return total, tag
-
-    return _search_classification(poly, image, total, n)
-
-
-_DIHEDRAL = (
-    Mat2(1, 0, 0, 1),
-    Mat2(-1, 0, 0, 1),
-    Mat2(1, 0, 0, -1),
-    Mat2(-1, 0, 0, -1),
-    Mat2(0, 1, 1, 0),
-    Mat2(0, -1, 1, 0),
-    Mat2(0, 1, -1, 0),
-    Mat2(0, -1, -1, 0),
-)
-
-_KIND_ORDER = ("I", "II", "III", "IV", "V", "VI")
-
-
-def _search_classification(
-    original: Polygon, image: Polygon, total: AffineMap, n: int
-) -> tuple[AffineMap, TypeTag]:
-    """Fallback: search the automorphism family used by the table
-    (axis symmetries, n-translations, chord shears) for a typed position."""
-    for lin in _DIHEDRAL:
-        base = AffineMap(lin, ORIGIN)
-        cand = apply_affine(image, base)
-        stats = bounding_stats(cand)
-        for k in range(stats.west // n - 1, stats.east // n + 2):
-            shifted_map = AffineMap.translate(Vec(-k * n, 0)).compose(base)
-            shifted = apply_affine(image, shifted_map)
-            shear = _chord_shear(shifted, n)
-            for extra in (AffineMap.identity(), shear):
-                m2 = extra.compose(shifted_map)
-                p2 = apply_affine(image, m2)
-                st2 = bounding_stats(p2)
-                for t in range(st2.south // n - 1, st2.north // n + 2):
-                    m3 = AffineMap.translate(Vec(0, -t * n)).compose(m2)
-                    p3 = apply_affine(image, m3)
-                    for kind in _KIND_ORDER:
-                        tag = TypeTag(kind, n)
-                        if satisfies_type(p3, tag):
-                            return m3.compose(total), tag
-    raise ClassificationError("classification failure")
+    tag = TypeTag(kind, n)
+    if not satisfies_type(image, tag):
+        raise ClassificationError(f"image fails type {kind}", poly, profile)
+    return total, tag

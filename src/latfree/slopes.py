@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .core import E1, E2, Mat2, Sublattice, Vec, steps
+from .core import E1, E2, InvariantError, Mat2, Sublattice, Vec, int_pairs, steps
 from .polygon import Polygon, bounding_stats, ray_splits
 
 
@@ -66,9 +66,11 @@ class Slope:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Slope":
-        verts = [Vec(int(a), int(b)) for a, b in obj["vertices"]]
-        (f11, f12), (f21, f22) = obj["basis"]
-        return validate_slope(verts, Vec(int(f11), int(f12)), Vec(int(f21), int(f22)))
+        if not isinstance(obj, dict) or "vertices" not in obj or "basis" not in obj:
+            raise SlopeError("slope object needs 'vertices' and 'basis'")
+        verts = int_pairs(obj["vertices"], "slope 'vertices'", SlopeError)
+        f1, f2 = int_pairs(obj["basis"], "slope 'basis'", SlopeError, count=2)
+        return validate_slope(verts, f1, f2)
 
 
 def validate_slope(vertices: list[Vec] | tuple[Vec, ...], f1: Vec, f2: Vec) -> Slope:
@@ -241,7 +243,8 @@ def _oriented_coords(frame: Frame, slope: Slope) -> list[Vec]:
     coords = _frame_coords(frame, slope)
     if coords[0].x1 > 0:
         coords.reverse()
-    assert coords[0].x1 < 0 < coords[0].x2
+    if not coords[0].x1 < 0 < coords[0].x2:
+        raise InvariantError("a split slope starts in the frame's second quadrant")
     return coords
 
 
@@ -250,7 +253,8 @@ def slope_profile(frame: Frame, slope: Slope) -> SlopeProfile:
         raise ValueError("frame does not split the slope")
     coords = _oriented_coords(frame, slope)
     edges = [coords[i] - coords[i - 1] for i in range(1, len(coords))]
-    assert all(a.x1 > 0 > a.x2 for a in edges)
+    if not all(a.x1 > 0 > a.x2 for a in edges):
+        raise InvariantError("slope edges point down-right in frame coordinates")
 
     k = next(i for i, c in enumerate(coords) if c.x2 < 0)
     a_k = edges[k - 1]
@@ -273,7 +277,8 @@ def slope_profile(frame: Frame, slope: Slope) -> SlopeProfile:
         else:
             pihat_tail += p1 + p2 - 2
     pihat = pi1 + pi2 - 2 * len(edges)
-    assert pihat == pihat_head + pihat_tail
+    if pihat != pihat_head + pihat_tail:
+        raise InvariantError("projection sums disagree with their head/tail split")
     return SlopeProfile(
         k, alpha, t, len(s_edges), s_edges, delta_flag, pi1, pi2, pihat,
         pihat_head, pihat_tail, tuple(coords),
@@ -504,7 +509,8 @@ def frame_splits_maximal(poly: Polygon, frame: Frame) -> Optional[int]:
     if not (ray_splits(poly, frame.origin, frame.f1) and ray_splits(poly, frame.origin, frame.f2)):
         return None
     k = _AXIS_FRAME_TO_SLOPE[key]
-    assert frame_splits(frame, maximal_slopes(poly).slope(k))
+    if not frame_splits(frame, maximal_slopes(poly).slope(k)):
+        raise InvariantError(f"frame does not split maximal slope {k}")
     return k
 
 

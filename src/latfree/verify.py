@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .core import E1, E2, Sublattice, Vec, steps
+from .core import E1, E2, InvariantError, Sublattice, Vec, steps
 from .polygon import Polygon, bounding_stats, lattice_points_in, polygon_free_of
 from .reduction import TypeTag, satisfies_type
 from .slopes import (
@@ -110,8 +110,10 @@ def construct_extremal(delta: int, n: int) -> Polygon:
             left.append(Vec(1 - bulge, j))
         verts = right + left[::-1]
     poly = Polygon(verts)
-    assert len(poly) == nu - 1
-    assert polygon_free_of(poly, Sublattice.rectangular(delta, n))
+    if len(poly) != nu - 1:
+        raise InvariantError(f"extremal polygon has {len(poly)} vertices, expected {nu - 1}")
+    if not polygon_free_of(poly, Sublattice.rectangular(delta, n)):
+        raise InvariantError("extremal polygon contains a sublattice point")
     return poly
 
 

@@ -145,3 +145,52 @@ def test_bad_box_is_usage_error(files):
 
 def test_unknown_command_is_usage_error(capsys):
     assert run(["bogus"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        pytest.param(["analyze", "{}"], {"vertices": 5}, id="vertices-not-a-list"),
+        pytest.param(["analyze", "{}"], {}, id="vertices-missing"),
+        pytest.param(["analyze", "{}"], [[0, 0], [1, 0], [0, 1]], id="polygon-top-level-list"),
+        pytest.param(["analyze", "{}"], {"vertices": [[0, 0], [1, 0], [0]]}, id="vertex-too-short"),
+        pytest.param(["analyze", "{}"], {"vertices": [[0, 0], [1, 0], [0, None]]}, id="vertex-null"),
+        pytest.param(["analyze", "{}"], {"vertices": [[0.7, 0], [1, 0], [0, 1]]}, id="vertex-float"),
+        pytest.param(["classify", "{}", "--n", "3"], {"vertices": "abc"}, id="vertices-string"),
+        pytest.param(["verify", "--lattice", "{}"], {"matrix": 5}, id="matrix-not-a-list"),
+        pytest.param(["verify", "--lattice", "{}"], {"matrix": [[1, 0], [0]]}, id="matrix-ragged"),
+        pytest.param(["verify", "--lattice", "{}"], {"delta": None, "n": 2}, id="delta-null"),
+        pytest.param(["verify", "--lattice", "{}"], {"delta": "2", "n": 2}, id="delta-string"),
+        pytest.param(["verify", "--lattice", "{}"], 7, id="lattice-top-level-int"),
+        pytest.param(
+            ["check-bounds", "quad.json", "--lattice", "{}", "--n", "3"], [], id="lattice-top-level-list"
+        ),
+        pytest.param(
+            ["slopes", "{}", "--origin", "0,0"], {"vertices": [[0, 0]], "basis": 5}, id="basis-not-a-list"
+        ),
+        pytest.param(["slopes", "{}", "--origin", "0,0"], {"vertices": [[0, 0]]}, id="basis-missing"),
+        pytest.param(["slopes", "{}", "--origin", "0,0"], [1, 2], id="slope-top-level-list"),
+    ],
+)
+def test_malformed_json_is_usage_error(files, capsys, command, payload):
+    tmp, write = files
+    write("quad.json", {"vertices": [[1, -1], [4, 1], [2, 4], [-1, 2]]})
+    bad = write("bad.json", payload)
+    argv = [bad if arg == "{}" else str(tmp / arg) if arg.endswith(".json") else arg for arg in command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_classification_miss_exits_two(files, capsys, monkeypatch):
+    from latfree import reduction
+
+    tmp, write = files
+    poly = write("quad.json", {"vertices": [[1, -1], [4, 1], [2, 4], [-1, 2]]})
+    monkeypatch.delitem(reduction._CASE_C_ROWS, (2, 2))
+    assert run(["classify", poly, "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "case C, split profile (2, 2)" in err[0]

@@ -1,0 +1,62 @@
+"""The library's invariants are explicit checks, so ``python -O`` (which
+strips ``assert`` statements) must not change what the CLI does."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import latfree
+
+SRC = Path(latfree.__file__).resolve().parents[1]
+QUAD = {"vertices": [[1, -1], [4, 1], [2, 4], [-1, 2]]}
+
+
+def test_no_assert_statements_in_library():
+    for path in sorted((SRC / "latfree").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements on lines {lines}"
+
+
+def _cli(flags: list[str], args: list[str]) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "latfree.cli", *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    # the verify summary reports its wall time
+    out = "".join(line for line in proc.stdout.splitlines(keepends=True) if not line.startswith("elapsed:"))
+    return proc.returncode, out
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("optimized")
+    paths = {}
+    for name, obj in {"quad": QUAD, "z2": {"delta": 1, "n": 1}, "lat22": {"delta": 2, "n": 2}}.items():
+        paths[name] = tmp / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "{quad}", "--n", "3"],
+        ["check-bounds", "{quad}", "--lattice", "{z2}", "--n", "3"],
+        ["verify", "--lattice", "{lat22}", "--box", "-1,3,-1,3"],
+    ],
+    ids=["classify", "check-bounds", "verify"],
+)
+def test_cli_under_python_O_matches(inputs, args):
+    args = [arg.format(**inputs) for arg in args]
+    plain = _cli([], args)
+    optimized = _cli(["-O"], args)
+    assert plain[0] == 0 and plain[1]
+    assert optimized == plain

@@ -3,20 +3,25 @@ import random
 
 import pytest
 
-from latfree.core import E2, AffineMap, Sublattice, Vec, primitive_to
+from latfree import reduction
+from latfree.core import E2, AffineMap, InvariantError, Sublattice, Vec, primitive_to
 from latfree.polygon import (
+    DegenerateHullError,
     Line,
     Polygon,
     Segment,
     apply_affine,
     bounding_stats,
     chord_interval,
+    convex_hull,
     lattice_points_in,
     polygon_free_of,
     segment_splits,
 )
 from latfree.reduction import (
+    ClassificationError,
     NotLatticeFreeError,
+    SplitProfile,
     TypeTag,
     check_diameter_slab_bound,
     check_split_exclusion,
@@ -167,6 +172,118 @@ class TestClassify:
             mapping, tag = classify_type(image, 2)
             assert mapping.is_automorphism_of(lattice)
             assert satisfies_type(apply_affine(image, mapping), tag)
+
+
+# One real instance per decision-table row: (case, (i, j), n, vertices, type).
+# The type IV rows come from n = 4 and n = 6 searches, B (1, 0) from an n = 4
+# search, the rest from the n = 2 and n = 3 corpora.
+ROW_INSTANCES = [
+    ("B", (0, 0), 2, [(0, -1), (1, -1), (2, 3)], "I"),
+    ("B", (1, 0), 4, [(-1, -2), (1, 3), (0, 3)], "V"),
+    ("B", (0, 1), 3, [(-2, -1), (-1, -1), (0, 2)], "V"),
+    ("B", (2, 0), 2, [(-1, -1), (1, -1), (2, 1)], "V"),
+    ("B", (0, 2), 2, [(-1, 1), (1, 0), (-1, 3)], "V"),
+    ("B", (2, 2), 3, [(-2, -1), (1, 1), (-2, 4)], "III"),
+    ("B", (1, 2), 3, [(-1, -1), (5, 1), (2, 1)], "VI"),
+    ("B", (2, 1), 2, [(0, 3), (1, 0), (2, 1)], "VI"),
+    ("C", (0, 0), 4, [(-2, -2), (3, -1), (4, 1), (4, 2), (3, 2)], "I"),
+    ("C", (2, 2), 3, [(1, -1), (4, 1), (2, 4), (-1, 2)], "II"),
+    ("C", (2, 0), 3, [(-2, 2), (2, -1), (3, 4)], "III"),
+    ("C", (0, 2), 3, [(0, 1), (1, -1), (4, 1), (2, 4)], "III"),
+    ("C", (2, 3), 4, [(-1, 1), (3, -2), (6, 5)], "IV"),
+    ("C", (1, 2), 6, [(-1, 3), (2, -5), (12, 8)], "IV"),
+    ("C", (2, 1), 4, [(-3, 2), (7, 5), (8, 9)], "IV"),
+    ("C", (3, 2), 6, [(-4, 1), (3, -10), (7, -2)], "IV"),
+]
+
+
+def _rows(case: str) -> dict:
+    return reduction._CASE_B_ROWS if case == "B" else reduction._CASE_C_ROWS
+
+
+def test_row_instances_cover_the_table():
+    listed = [(case, ij) for case, ij, *_ in ROW_INSTANCES]
+    assert sorted(listed) == sorted((case, ij) for case in "BC" for ij in _rows(case))
+
+
+@pytest.mark.parametrize(
+    "case, ij, n, vertices, kind",
+    ROW_INSTANCES,
+    ids=[f"{c}{ij[0]}{ij[1]}-{kind}" for c, ij, _, _, kind in ROW_INSTANCES],
+)
+def test_table_row(monkeypatch, case, ij, n, vertices, kind):
+    poly = Polygon([Vec(*v) for v in vertices])
+    mapping, tag = classify_type(poly, n)
+    assert tag == TypeTag(kind, n)
+    assert satisfies_type(apply_affine(poly, mapping), tag)
+    assert mapping.is_automorphism_of(Sublattice.rectangular(n, n))
+    # the instance really goes through this row: without it, it misses
+    monkeypatch.delitem(_rows(case), ij)
+    with pytest.raises(ClassificationError) as exc:
+        classify_type(poly, n)
+    assert exc.value.profile == SplitProfile(case, *ij)
+    assert exc.value.polygon == poly
+    assert "\n" not in str(exc.value)
+
+
+def _longest_column_string(poly: Polygon, columns: range) -> int:
+    best = -1
+    for c in columns:
+        chord = chord_interval(poly, Line.vertical(c))
+        if chord is not None:
+            best = max(best, math.floor(chord[1]) - math.ceil(chord[0]))
+    return best
+
+
+def test_case_b_one_one_is_never_normalized():
+    # Polygons in case B (1, 1) position: x1 = 0 splits with its chord in
+    # (0, n), and the segments [(-n, 0), (0, 0)] and [(-n, n), (0, n)] split.
+    # The table has no row for them because no vertical string on x1 >= 0
+    # can be a longest one, which is what slab normalization would need.
+    rng = random.Random(53)
+    seen = 0
+    for _ in range(3000):
+        n = rng.randint(3, 7)
+        pts = [
+            Vec(rng.randint(-n + 1, -1), rng.randint(-2 * n, -1)),
+            Vec(rng.randint(-n + 1, -1), rng.randint(n + 1, 3 * n)),
+            Vec(rng.randint(1, n - 1), rng.randint(1, n - 1)),
+        ] + [Vec(rng.randint(-n + 1, -1), rng.randint(-2 * n, 3 * n)) for _ in range(rng.randint(0, 2))]
+        try:
+            poly = convex_hull(pts)
+        except DegenerateHullError:
+            continue
+        chord = chord_interval(poly, Line.vertical(0))
+        if not (0 < chord[0] and chord[1] < n):
+            continue
+        if (reduction._split_index(poly, 0, n), reduction._split_index(poly, n, n)) != (1, 1):
+            continue
+        seen += 1
+        east = bounding_stats(poly).east
+        # the proof finds a string at least two longer left of x1 = 0
+        assert _longest_column_string(poly, range(0, east + 1)) + 2 <= lattice_diameter(poly).length
+    assert seen >= 20
+
+
+def test_failed_postcondition_is_a_miss(monkeypatch):
+    monkeypatch.setitem(reduction._CASE_C_ROWS, (2, 2), ("III", reduction._IDENTITY, (0, 0)))
+    with pytest.raises(ClassificationError, match="image fails type III") as exc:
+        classify_type(QUAD, 3)
+    assert exc.value.profile == SplitProfile("C", 2, 2)
+
+
+def test_failed_type_one_is_a_miss(monkeypatch):
+    monkeypatch.setattr(reduction, "satisfies_type", lambda poly, tag: False)
+    with pytest.raises(ClassificationError) as exc:
+        classify_type(OCTAGON, 3)
+    assert exc.value.profile == SplitProfile("A", None, None)
+    assert exc.value.polygon == OCTAGON
+
+
+def test_chord_guard_raises_without_assert():
+    square = Polygon([Vec(-1, -1), Vec(1, -1), Vec(1, 1), Vec(-1, 1)])
+    with pytest.raises(InvariantError, match="forbidden lattice point"):
+        reduction._chord_cell_index(square, 0, 2)
 
 
 class TestDiameterSlabBound:
