@@ -223,14 +223,19 @@ def _cmd_check_bounds(args) -> int:
 def _cmd_enumerate(args) -> int:
     lattice = _load_lattice(args.lattice)
     box = SearchBox.parse(args.box)
-    found = []
+    # the polygons are kept only for the --out report; stdout is a stream
+    found: Optional[list] = [] if args.out else None
+    count = 0
     for poly in enumerate_free_polygons_parallel(lattice, box, args.min_vertices, jobs=args.jobs):
-        print(json.dumps(poly.to_obj()))
-        found.append(poly.to_obj())
-    print(f"found {len(found)} polygons", file=sys.stderr)
+        obj = poly.to_obj()
+        print(json.dumps(obj))
+        count += 1
+        if found is not None:
+            found.append(obj)
+    print(f"found {count} polygons", file=sys.stderr)
     _write_out(
         args.out,
-        {"lattice": lattice.to_obj(), "box": box.to_obj(), "count": len(found), "polygons": found},
+        {"lattice": lattice.to_obj(), "box": box.to_obj(), "count": count, "polygons": found},
     )
     return 0
 

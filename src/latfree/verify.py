@@ -6,19 +6,29 @@ sublattice with invariant factors (delta, n).  This module builds the
 extremal (nu - 1)-gons, exhaustively enumerates lattice-free polygons over
 bounded boxes, and replays the type-II inequality pipeline as computation.
 
-The enumeration is a DFS over convex chains: candidate points are scanned
-in (x2, x1) order, each chain starts at the polygon's lowest vertex and
-grows counter-clockwise with strictly increasing edge angles, and a branch
-is pruned as soon as the fan triangle it adds covers a forbidden lattice
-point (growing a convex polygon only ever adds covered points, so the
-pruning is sound).  The worst case is exponential; boxes are meant to stay
-around 9x9 candidate grids.
+The enumeration (``enumerate``) is a DFS over convex chains: candidate
+points are scanned in (x2, x1) order, each chain starts at the polygon's
+lowest vertex p and grows counter-clockwise with strictly increasing edge
+angles, and a branch is pruned as soon as the fan triangle it adds covers
+a forbidden lattice point (growing a convex polygon only ever adds covered
+points, so the pruning is sound).  It lists every polygon, so its cost is
+exponential in the worst case.
+
+The threshold check (``verify``) asks only for the count, the largest
+vertex count and one witness, so it solves the same search as a fan DP
+(Dobkin, Edelsbrunner and Overmars, *Searching for empty convex polygons*,
+1990, with "empty" read as "free of lattice points"): every DFS test
+depends on p and the last edge alone, so the completions of a chain are a
+function of its last edge, computed once per start.  That is at most
+quadratically many states per start, and ``chains_explored`` counts them.
+The DFS stays the reference the DP is tested against.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -40,10 +50,12 @@ from .slopes import (
 )
 
 
-def _pool(jobs: int) -> ProcessPoolExecutor:
+def _pool(jobs: int, tasks: int) -> ProcessPoolExecutor:
+    # no more workers than cores or tasks, whatever --jobs asks for;
     # spawned workers avoid fork-while-threaded deadlocks in host processes
+    workers = max(1, min(jobs, tasks, os.cpu_count() or 1))
     return ProcessPoolExecutor(
-        max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
     )
 
 
@@ -132,13 +144,12 @@ def _prepare(lattice: Sublattice, box: SearchBox) -> tuple[list, list]:
     return cand, lpts
 
 
-def _chains(
-    cand: list, lpts: list, i0: int, min_v: int, stats: list
-) -> Iterator[tuple]:
-    """All convex chains closing into strictly convex CCW polygons whose
-    (x2, x1)-lowest vertex is cand[i0], pruned for lattice freeness."""
+def _fan(cand: list, lpts: list, i0: int) -> tuple:
+    """The start p = cand[i0], the later candidates in scan order, and the
+    two freeness tests of the fan around p: seg_blocked(q) for the first
+    edge (p, q) and tri_blocked(u, v) for the fan triangle (p, u, v).  A
+    lattice point on the boundary blocks."""
     p0x, p0y = cand[i0]
-    tail = cand[i0 + 1 :]
 
     def seg_blocked(qx: int, qy: int) -> bool:
         dx, dy = qx - p0x, qy - p0y
@@ -164,10 +175,16 @@ def _chains(
             return True
         return False
 
+    return p0x, p0y, cand[i0 + 1 :], seg_blocked, tri_blocked
+
+
+def _chains(cand: list, lpts: list, i0: int, min_v: int) -> Iterator[tuple]:
+    """All convex chains closing into strictly convex CCW polygons whose
+    (x2, x1)-lowest vertex is cand[i0], pruned for lattice freeness."""
+    p0x, p0y, tail, seg_blocked, tri_blocked = _fan(cand, lpts, i0)
     chain = [(p0x, p0y)]
 
     def extend(udx: int, udy: int, fdx: int, fdy: int) -> Iterator[tuple]:
-        stats[0] += 1
         ux, uy = chain[-1]
         if len(chain) >= min_v:
             cdx, cdy = p0x - ux, p0y - uy
@@ -207,32 +224,137 @@ def enumerate_free_polygons(
     inside or on it.  Deterministic order."""
     min_v = max(3, min_vertices)
     cand, lpts = _prepare(lattice, box)
-    stats = [0]
     for i0 in range(len(cand)):
-        for chain in _chains(cand, lpts, i0, min_v, stats):
+        for chain in _chains(cand, lpts, i0, min_v):
             yield Polygon(chain)
+
+
+def _fan_dp(cand: list, lpts: list, i0: int) -> tuple:
+    """The polygons of :func:`_chains` with min_v = 3 for the start
+    p = cand[i0], solved by a DP over the last edge instead of listed.
+
+    Returns (vertices of the longest, its chain, count, DP states), where
+    the chain is the lexicographically smallest longest one, or
+    (0, None, 0, states) when no polygon starts at p.
+    """
+    p0x, p0y, tail, seg_blocked, tri_blocked = _fan(cand, lpts, i0)
+    m = len(tail)
+    steps: dict = {}  # u -> (k, tail[k] - tail[u]) for every k, and for k below u
+    free: dict = {}  # u * m + v -> the fan triangle (p, tail[u], tail[v]) is free
+    memo: dict = {}  # (prev, cur) -> (count, longest); prev -1 stands for p
+
+    def moves(b: int, udx: int, udy: int) -> list:
+        # The DFS's step tests from tail[b] after an edge of direction ud:
+        # a strict left turn, no edge back in the upper half-plane of
+        # directions once one has left it (hu <= hd), and a free fan
+        # triangle.  The turn test is skipped for the half-plane misses.
+        ux, uy = tail[b]
+        if b not in steps:
+            up = [(k, vx - ux, vy - uy) for k, (vx, vy) in enumerate(tail)
+                  if vy > uy or (vy == uy and vx > ux)]
+            down = [(k, vx - ux, vy - uy) for k, (vx, vy) in enumerate(tail)
+                    if vy < uy or (vy == uy and vx < ux)]
+            steps[b] = (up + down, down)
+        every, below = steps[b]
+        out = []
+        for k, dx, dy in every if (udy > 0 or (udy == 0 and udx > 0)) else below:
+            if udx * dy - udy * dx <= 0:
+                continue
+            key = b * m + k
+            ok = free.get(key)
+            if ok is None:
+                vx, vy = tail[k]
+                ok = free[key] = not tri_blocked(ux, uy, vx, vy)
+            if ok:
+                out.append(k)
+        return out
+
+    def edge(a: int, b: int) -> tuple:
+        sx, sy = (p0x, p0y) if a < 0 else tail[a]
+        ux, uy = tail[b]
+        return ux - sx, uy - sy
+
+    def solve(a: int, b: int) -> tuple:
+        # (number of closable completions, most vertices any of them adds)
+        got = memo.get((a, b))
+        if got is not None:
+            return got
+        udx, udy = edge(a, b)
+        ux, uy = tail[b]
+        count, longest = 0, -1
+        # The DFS also asks for a left turn at p.  That follows: the edge
+        # angles rise strictly inside [0, 2*pi) from a first edge below pi,
+        # and a closed polygon turns through more than pi, so the last turn
+        # is less than pi.  Leaving it out keeps the first edge out of the
+        # state.
+        cdx, cdy = p0x - ux, p0y - uy
+        if udx * cdy - udy * cdx > 0:
+            hu = 0 if (udy > 0 or (udy == 0 and udx > 0)) else 1
+            hc = 0 if (cdy > 0 or (cdy == 0 and cdx > 0)) else 1
+            if hu <= hc:
+                count, longest = 1, 0
+        for k in moves(b, udx, udy):
+            c, l = memo.get((b, k)) or solve(b, k)
+            if c:
+                count += c
+                if l + 1 > longest:
+                    longest = l + 1
+        memo[(a, b)] = got = (count, longest)
+        return got
+
+    count, best, first = 0, -1, -1
+    for b, (vx, vy) in enumerate(tail):
+        if seg_blocked(vx, vy):
+            continue
+        c, l = solve(-1, b)
+        count += c
+        if c and (l > best or (l == best and tail[b] < tail[first])):
+            best, first = l, b
+    chain: list = []
+    if first >= 0:
+        # rebuild the smallest longest chain: from each state take the
+        # smallest successor whose longest completion is one vertex shorter
+        chain = [(p0x, p0y), tail[first]]
+        a, b = -1, first
+        for r in range(best, 0, -1):
+            a, b = b, min(
+                (k for k in moves(b, *edge(a, b)) if memo[(b, k)][1] == r - 1),
+                key=tail.__getitem__,
+            )
+            chain.append(tail[b])
+    # solve reaches itself through its closure; unbinding it frees the
+    # tables now instead of at the next cyclic garbage collection
+    del solve
+    return len(chain), tuple(chain) or None, count, len(memo)
+
+
+def _merge(results) -> tuple:
+    """Sum the counts and states of (vertices, chain, count, states)
+    results and keep the longest chain, the smallest one on ties."""
+    best_len = 0
+    best_chain: Optional[tuple] = None
+    found = 0
+    states = 0
+    for blen, bchain, f, s in results:
+        found += f
+        states += s
+        if blen > best_len or (
+            blen == best_len and bchain is not None and (best_chain is None or bchain < best_chain)
+        ):
+            best_len, best_chain = blen, bchain
+    return best_len, best_chain, found, states
 
 
 def _scan_slice(args: tuple) -> tuple:
     lattice, box, lo, hi, step = args
     cand, lpts = _prepare(lattice, box)
-    stats = [0]
-    best_len = 0
-    best_chain: Optional[tuple] = None
-    found = 0
-    for i0 in range(lo, hi, step):
-        for chain in _chains(cand, lpts, i0, 3, stats):
-            found += 1
-            k = len(chain)
-            if k > best_len or (k == best_len and (best_chain is None or chain < best_chain)):
-                best_len, best_chain = k, chain
-    return best_len, best_chain, found, stats[0]
+    return _merge(_fan_dp(cand, lpts, i0) for i0 in range(lo, hi, step))
 
 
 def _collect_start(args: tuple) -> list[tuple]:
     lattice, box, i0, min_v = args
     cand, lpts = _prepare(lattice, box)
-    return list(_chains(cand, lpts, i0, min_v, [0]))
+    return list(_chains(cand, lpts, i0, min_v))
 
 
 def enumerate_free_polygons_parallel(
@@ -246,7 +368,7 @@ def enumerate_free_polygons_parallel(
     min_v = max(3, min_vertices)
     cand, _ = _prepare(lattice, box)
     tasks = [(lattice, box, i0, min_v) for i0 in range(len(cand))]
-    with _pool(jobs) as pool:
+    with _pool(jobs, len(tasks)) as pool:
         for chains in pool.map(_collect_start, tasks, chunksize=4):
             for chain in chains:
                 yield Polygon(chain)
@@ -261,7 +383,7 @@ class VerificationReport:
     nu: int
     consistent: bool
     instances_checked: int
-    chains_explored: int
+    chains_explored: int  # fan-DP states solved, summed over the starts
     elapsed_seconds: float
 
     def to_obj(self) -> dict:
@@ -288,7 +410,8 @@ def verify_vertex_threshold(
     lattice: Sublattice, box: Optional[SearchBox] = None, jobs: int = 1
 ) -> VerificationReport:
     """Exhaustively check that no lattice-free polygon in the box has more
-    than nu - 1 vertices.  Results are independent of the job count."""
+    than nu - 1 vertices, by the fan DP from every start vertex.  Results,
+    the DP state count included, are independent of the job count."""
     if not lattice.is_proper():
         raise ValueError("the lattice must be a proper sublattice of Z^2")
     if box is None:
@@ -297,32 +420,19 @@ def verify_vertex_threshold(
     start = time.perf_counter()
     cand, _ = _prepare(lattice, box)
 
-    slices: list[tuple] = []
     jobs = max(1, jobs)
     if jobs == 1:
-        slices.append((lattice, box, 0, len(cand), 1))
-        results = [_scan_slice(slices[0])]
+        results = [_scan_slice((lattice, box, 0, len(cand), 1))]
     else:
         parts = min(jobs * 4, max(1, len(cand)))
         slices = [(lattice, box, r, len(cand), parts) for r in range(parts)]
-        with _pool(jobs) as pool:
+        with _pool(jobs, parts) as pool:
             results = list(pool.map(_scan_slice, slices))
-
-    best_len = 0
-    best_chain: Optional[tuple] = None
-    found = 0
-    nodes = 0
-    for blen, bchain, f, nd in results:
-        found += f
-        nodes += nd
-        if blen > best_len or (
-            blen == best_len and bchain is not None and (best_chain is None or bchain < best_chain)
-        ):
-            best_len, best_chain = blen, bchain
+    best_len, best_chain, found, states = _merge(results)
     witness = Polygon(best_chain) if best_chain is not None else None
     elapsed = time.perf_counter() - start
     return VerificationReport(
-        lattice, box, best_len, witness, nu, best_len <= nu - 1, found, nodes, elapsed
+        lattice, box, best_len, witness, nu, best_len <= nu - 1, found, states, elapsed
     )
 
 

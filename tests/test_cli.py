@@ -84,6 +84,21 @@ def test_enumerate_streams_jsonl(files, capsys):
     assert [json.loads(l)["vertices"] for l in lines] == [[[0, 1], [1, 0], [2, 1], [1, 2]]]
 
 
+def test_enumerate_out_matches_stream(files, capsys):
+    tmp, write = files
+    lattice = write("lat.json", {"delta": 2, "n": 2})
+    out = tmp / "polygons.json"
+    argv = ["enumerate", "--lattice", lattice, "--box", "-1,3,-1,3"]
+    assert run(argv) == 0
+    streamed = capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == streamed
+    assert streamed.err == "found 483 polygons\n"
+    report = json.loads(out.read_text())
+    assert report["count"] == 483
+    assert report["polygons"] == [json.loads(line) for line in streamed.out.splitlines()]
+
+
 def test_extremal(files, capsys):
     tmp, write = files
     assert run(["extremal", "--delta", "3", "--n", "3"]) == 0

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import latfree.verify as verify_module
 from latfree.core import Mat2, Sublattice, Vec
 from latfree.polygon import (
     DegenerateHullError,
@@ -19,6 +20,7 @@ from latfree.verify import (
     construct_extremal,
     contains_even_ordinate_point,
     critical_vertex_count,
+    default_box,
     enumerate_free_polygons,
     enumerate_free_polygons_parallel,
     type_ii_bound_pipeline,
@@ -167,6 +169,97 @@ class TestVerify:
         assert obj["lattice"] == {"delta": 2, "n": 2}
         assert obj["box"] == [0, 2, 0, 2]
         assert obj["consistent"] is True
+
+
+def _dfs_oracle(lattice, box):
+    """Max, count and witness straight from the chain DFS: the longest
+    chain, the lexicographically smallest on ties."""
+    cand, lpts = verify_module._prepare(lattice, box)
+    best, best_chain, count = 0, None, 0
+    for i0 in range(len(cand)):
+        for chain in verify_module._chains(cand, lpts, i0, 3):
+            count += 1
+            if len(chain) > best or (len(chain) == best and chain < best_chain):
+                best, best_chain = len(chain), chain
+    return best, count, None if best_chain is None else Polygon(best_chain)
+
+
+class TestFanDP:
+    # every box where the DFS answers within seconds; the (2, 2) default
+    # box is -1,3,-1,3
+    @pytest.mark.parametrize(
+        "lattice,box",
+        [
+            (Sublattice.rectangular(2, 2), None),
+            (Sublattice.rectangular(1, 3), None),
+            (Sublattice.rectangular(3, 3), SearchBox(-2, 5, -1, 4)),
+            (Sublattice.rectangular(2, 4), SearchBox(0, 4, 0, 4)),
+            (Sublattice.rectangular(4, 4), SearchBox(0, 4, 0, 4)),
+            (Sublattice.rectangular(1, 2), SearchBox(0, 4, 0, 4)),
+            # non-rectangular: x2 = x1 mod 3, and x1 even with x2 = x1 mod 4
+            (Sublattice.from_matrix(Mat2(1, 0, 1, 3)), None),
+            (Sublattice.from_matrix(Mat2(2, 0, 2, 4)), SearchBox(-1, 4, -1, 4)),
+        ],
+        ids=["2,2", "1,3", "3,3-box", "2,4-box", "4,4-box", "1,2-box", "sheared-1,3", "sheared-2,4"],
+    )
+    def test_matches_dfs(self, lattice, box):
+        box = box or default_box(lattice)
+        rep = verify_vertex_threshold(lattice, box)
+        assert (rep.max_vertices_found, rep.instances_checked, rep.witness) == _dfs_oracle(lattice, box)
+
+    def test_settles_4_4_on_the_slab_box(self):
+        # out of the DFS's reach: the first n = 4 slab-box answer
+        lattice = Sublattice.rectangular(4, 4)
+        rep = verify_vertex_threshold(lattice)
+        assert rep.box == SearchBox(-3, 7, -3, 7)
+        assert rep.max_vertices_found == 10 == rep.nu - 1
+        assert rep.instances_checked == 7_181_187
+        assert rep.chains_explored == 184_999  # DP states over the 117 starts
+        assert rep.consistent
+        assert len(rep.witness) == 10 and polygon_free_of(rep.witness, lattice)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the process pool by one that records its size and maps
+    serially, so a large --jobs value starts no process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_jobs_cap_pool_size(serial_pool, monkeypatch):
+    lattice, box = Sublattice.rectangular(2, 2), SearchBox(-1, 3, -1, 3)  # 21 candidates
+    single = verify_vertex_threshold(lattice, box, jobs=1).to_obj()
+    stream = list(enumerate_free_polygons(lattice, box, 3))
+
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 64)
+    many = verify_vertex_threshold(lattice, box, jobs=500).to_obj()
+    assert list(enumerate_free_polygons_parallel(lattice, box, 3, jobs=500)) == stream
+    assert serial_pool == [21, 21]  # one slice or one start per candidate
+
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 2)
+    verify_vertex_threshold(lattice, box, jobs=500)
+    list(enumerate_free_polygons_parallel(lattice, box, 3, jobs=500))
+    assert serial_pool[2:] == [2, 2]
+
+    single.pop("elapsed_seconds")
+    many.pop("elapsed_seconds")
+    assert many == single
 
 
 class TestTypeVertexBound:
