@@ -185,8 +185,8 @@ def _dfs_oracle(lattice, box):
 
 
 class TestFanDP:
-    # every box where the DFS answers within seconds; the (2, 2) default
-    # box is -1,3,-1,3
+    # boxes where the DFS answers within seconds; the (2, 2) default box
+    # is -1,3,-1,3
     @pytest.mark.parametrize(
         "lattice,box",
         [
