@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional, TextIO
 
 from .core import InvariantError, LatticeError, Sublattice, Vec
 from .polygon import (
@@ -43,7 +45,7 @@ from .verify import (
     check_type_vertex_bound,
     construct_extremal,
     critical_vertex_count,
-    enumerate_free_polygons_parallel,
+    enumerate_free_polygons,
     type_ii_bound_pipeline,
     verify_vertex_threshold,
 )
@@ -74,9 +76,18 @@ def _load_lattice(path: str) -> Sublattice:
     return Sublattice.from_obj(_load_json(path))
 
 
+@contextmanager
+def _open_out(path: str) -> Iterator[TextIO]:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_out(path: Optional[str], obj) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _open_out(path) as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -107,7 +118,7 @@ def _svg_dump(poly: Polygon, path: str) -> None:
             "</svg>",
         ]
     )
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(path) as fh:
         fh.write(body + "\n")
 
 
@@ -226,7 +237,7 @@ def _cmd_enumerate(args) -> int:
     # the polygons are kept only for the --out report; stdout is a stream
     found: Optional[list] = [] if args.out else None
     count = 0
-    for poly in enumerate_free_polygons_parallel(lattice, box, args.min_vertices, jobs=args.jobs):
+    for poly in enumerate_free_polygons(lattice, box, args.min_vertices):
         obj = poly.to_obj()
         print(json.dumps(obj))
         count += 1
@@ -252,7 +263,7 @@ def _cmd_extremal(args) -> int:
 def _cmd_verify(args) -> int:
     lattice = _load_lattice(args.lattice)
     box = SearchBox.parse(args.box) if args.box else None
-    report = verify_vertex_threshold(lattice, box, jobs=args.jobs)
+    report = verify_vertex_threshold(lattice, box)
     print(f"lattice:         delta={lattice.delta} n={lattice.n}")
     print(f"box:             {list(report.box)}")
     print(f"nu:              {report.nu}")
@@ -304,7 +315,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lattice", required=True)
     p.add_argument("--box", required=True, help="x1min,x1max,x2min,x2max")
     p.add_argument("--min-vertices", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -317,7 +327,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="exhaustive vertex-threshold check over a box")
     p.add_argument("--lattice", required=True)
     p.add_argument("--box", help="x1min,x1max,x2min,x2max (default: the slab box)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
@@ -360,7 +369,16 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`); point stdout at devnull
+        # so the flush at interpreter exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

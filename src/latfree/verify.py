@@ -27,10 +27,7 @@ The DFS stays the reference the DP is tested against.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
@@ -50,15 +47,6 @@ from .slopes import (
 )
 
 
-def _pool(jobs: int, tasks: int) -> ProcessPoolExecutor:
-    # no more workers than cores or tasks, whatever --jobs asks for;
-    # spawned workers avoid fork-while-threaded deadlocks in host processes
-    workers = max(1, min(jobs, tasks, os.cpu_count() or 1))
-    return ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
-    )
-
-
 class SearchBox(NamedTuple):
     x1_min: int
     x1_max: int
@@ -67,9 +55,13 @@ class SearchBox(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "SearchBox":
-        parts = [int(p) for p in text.split(",")]
+        usage = "box must be x1min,x1max,x2min,x2max"
+        try:
+            parts = [int(p) for p in text.split(",")]
+        except ValueError:
+            raise ValueError(usage) from None
         if len(parts) != 4:
-            raise ValueError("box must be x1min,x1max,x2min,x2max")
+            raise ValueError(usage)
         box = cls(*parts)
         if box.x1_min > box.x1_max or box.x2_min > box.x2_max:
             raise ValueError("box must be nonempty")
@@ -345,35 +337,6 @@ def _merge(results) -> tuple:
     return best_len, best_chain, found, states
 
 
-def _scan_slice(args: tuple) -> tuple:
-    lattice, box, lo, hi, step = args
-    cand, lpts = _prepare(lattice, box)
-    return _merge(_fan_dp(cand, lpts, i0) for i0 in range(lo, hi, step))
-
-
-def _collect_start(args: tuple) -> list[tuple]:
-    lattice, box, i0, min_v = args
-    cand, lpts = _prepare(lattice, box)
-    return list(_chains(cand, lpts, i0, min_v))
-
-
-def enumerate_free_polygons_parallel(
-    lattice: Sublattice, box: SearchBox, min_vertices: int = 3, jobs: int = 1
-) -> Iterator[Polygon]:
-    """Same stream as :func:`enumerate_free_polygons`, same order, but the
-    per-start-vertex searches run on a worker pool."""
-    if jobs <= 1:
-        yield from enumerate_free_polygons(lattice, box, min_vertices)
-        return
-    min_v = max(3, min_vertices)
-    cand, _ = _prepare(lattice, box)
-    tasks = [(lattice, box, i0, min_v) for i0 in range(len(cand))]
-    with _pool(jobs, len(tasks)) as pool:
-        for chains in pool.map(_collect_start, tasks, chunksize=4):
-            for chain in chains:
-                yield Polygon(chain)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     lattice: Sublattice
@@ -407,28 +370,20 @@ def default_box(lattice: Sublattice) -> SearchBox:
 
 
 def verify_vertex_threshold(
-    lattice: Sublattice, box: Optional[SearchBox] = None, jobs: int = 1
+    lattice: Sublattice, box: Optional[SearchBox] = None
 ) -> VerificationReport:
     """Exhaustively check that no lattice-free polygon in the box has more
-    than nu - 1 vertices, by the fan DP from every start vertex.  Results,
-    the DP state count included, are independent of the job count."""
+    than nu - 1 vertices, by the fan DP from every start vertex."""
     if not lattice.is_proper():
         raise ValueError("the lattice must be a proper sublattice of Z^2")
     if box is None:
         box = default_box(lattice)
     nu = critical_vertex_count(lattice.delta, lattice.n)
     start = time.perf_counter()
-    cand, _ = _prepare(lattice, box)
-
-    jobs = max(1, jobs)
-    if jobs == 1:
-        results = [_scan_slice((lattice, box, 0, len(cand), 1))]
-    else:
-        parts = min(jobs * 4, max(1, len(cand)))
-        slices = [(lattice, box, r, len(cand), parts) for r in range(parts)]
-        with _pool(jobs, parts) as pool:
-            results = list(pool.map(_scan_slice, slices))
-    best_len, best_chain, found, states = _merge(results)
+    cand, lpts = _prepare(lattice, box)
+    best_len, best_chain, found, states = _merge(
+        _fan_dp(cand, lpts, i0) for i0 in range(len(cand))
+    )
     witness = Polygon(best_chain) if best_chain is not None else None
     elapsed = time.perf_counter() - start
     return VerificationReport(

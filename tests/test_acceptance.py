@@ -115,7 +115,7 @@ def test_criterion_4_threshold_for_n3():
     start = time.perf_counter()
     lattice = Sublattice.rectangular(3, 3)
     box = SearchBox(-2, 5, -1, 4)
-    report = verify_vertex_threshold(lattice, box, jobs=4)
+    report = verify_vertex_threshold(lattice, box)
     elapsed = time.perf_counter() - start
     assert report.max_vertices_found == 8 == report.nu - 1
     assert report.consistent
@@ -260,16 +260,3 @@ def test_criterion_9_type_ii_pipeline(classified_corpora):
         assert bound_report.ok
     print(f"\n[criterion 9] type II pipeline on {len(cases)} polygons: PASS")
 
-
-def test_criterion_10_jobs_determinism():
-    for lattice, box in [
-        (Sublattice.rectangular(2, 2), SearchBox(-1, 3, -1, 3)),
-        (Sublattice.rectangular(3, 3), SearchBox(-2, 5, -1, 4)),
-    ]:
-        single = verify_vertex_threshold(lattice, box, jobs=1)
-        parallel = verify_vertex_threshold(lattice, box, jobs=8)
-        assert single.max_vertices_found == parallel.max_vertices_found
-        assert single.consistent == parallel.consistent
-        assert single.witness == parallel.witness
-        assert single.instances_checked == parallel.instances_checked
-    print("\n[criterion 10] --jobs 1 and --jobs 8 agree: PASS")

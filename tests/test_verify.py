@@ -22,7 +22,6 @@ from latfree.verify import (
     critical_vertex_count,
     default_box,
     enumerate_free_polygons,
-    enumerate_free_polygons_parallel,
     type_ii_bound_pipeline,
     verify_vertex_threshold,
 )
@@ -127,13 +126,6 @@ class TestEnumerate:
             assert polygon_free_of(poly, lattice)
             assert all(not lattice.contains(v) for v in poly.vertices)
 
-    def test_parallel_stream_matches(self):
-        lattice = Sublattice.rectangular(2, 2)
-        box = SearchBox(-1, 3, -1, 3)
-        seq = list(enumerate_free_polygons(lattice, box, 3))
-        par = list(enumerate_free_polygons_parallel(lattice, box, 3, jobs=2))
-        assert seq == par
-
 
 class TestVerify:
     def test_doubled_lattice_box(self):
@@ -217,49 +209,6 @@ class TestFanDP:
         assert rep.chains_explored == 184_999  # DP states over the 117 starts
         assert rep.consistent
         assert len(rep.witness) == 10 and polygon_free_of(rep.witness, lattice)
-
-
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Replace the process pool by one that records its size and maps
-    serially, so a large --jobs value starts no process."""
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers, mp_context=None):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(verify_module, "ProcessPoolExecutor", SerialPool)
-    return sizes
-
-
-def test_jobs_cap_pool_size(serial_pool, monkeypatch):
-    lattice, box = Sublattice.rectangular(2, 2), SearchBox(-1, 3, -1, 3)  # 21 candidates
-    single = verify_vertex_threshold(lattice, box, jobs=1).to_obj()
-    stream = list(enumerate_free_polygons(lattice, box, 3))
-
-    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 64)
-    many = verify_vertex_threshold(lattice, box, jobs=500).to_obj()
-    assert list(enumerate_free_polygons_parallel(lattice, box, 3, jobs=500)) == stream
-    assert serial_pool == [21, 21]  # one slice or one start per candidate
-
-    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 2)
-    verify_vertex_threshold(lattice, box, jobs=500)
-    list(enumerate_free_polygons_parallel(lattice, box, 3, jobs=500))
-    assert serial_pool[2:] == [2, 2]
-
-    single.pop("elapsed_seconds")
-    many.pop("elapsed_seconds")
-    assert many == single
 
 
 class TestTypeVertexBound:
