@@ -77,12 +77,26 @@ def _load_lattice(path: str) -> Sublattice:
 
 
 @contextmanager
-def _open_out(path: str) -> Iterator[TextIO]:
+def _open_out(path: str, mode: str = "w") -> Iterator[TextIO]:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
+
+
+def _probe_out(path: Optional[str]) -> None:
+    """Fail on an unwritable ``--out`` before a search rather than after it.
+
+    Opening for append leaves an existing file as it is, and a file the
+    probe creates is removed again, so a run that fails later leaves the
+    path as it found it; the report is written when the search is done.
+    """
+    if path:
+        created = not os.path.exists(path)
+        with _open_out(path, "a"):
+            if created:
+                os.remove(path)
 
 
 def _write_out(path: Optional[str], obj) -> None:
@@ -234,6 +248,7 @@ def _cmd_check_bounds(args) -> int:
 def _cmd_enumerate(args) -> int:
     lattice = _load_lattice(args.lattice)
     box = SearchBox.parse(args.box)
+    _probe_out(args.out)
     # the polygons are kept only for the --out report; stdout is a stream
     found: Optional[list] = [] if args.out else None
     count = 0
@@ -263,6 +278,7 @@ def _cmd_extremal(args) -> int:
 def _cmd_verify(args) -> int:
     lattice = _load_lattice(args.lattice)
     box = SearchBox.parse(args.box) if args.box else None
+    _probe_out(args.out)
     report = verify_vertex_threshold(lattice, box)
     print(f"lattice:         delta={lattice.delta} n={lattice.n}")
     print(f"box:             {list(report.box)}")

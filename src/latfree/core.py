@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 
@@ -308,10 +307,11 @@ class Sublattice:
             Vec(x1_max, x2_min),
             Vec(x1_max, x2_max),
         ]
-        u1s = [Fraction(c.x1 * b.a22 - c.x2 * b.a12, d) for c in corners]
-        u2s = [Fraction(b.a11 * c.x2 - b.a21 * c.x1, d) for c in corners]
-        for u1 in range(math.ceil(min(u1s)), math.floor(max(u1s)) + 1):
-            for u2 in range(math.ceil(min(u2s)), math.floor(max(u2s)) + 1):
+        # basis coordinates of the corners are num/d; ceil(min) == min(ceil)
+        u1s = [c.x1 * b.a22 - c.x2 * b.a12 for c in corners]
+        u2s = [b.a11 * c.x2 - b.a21 * c.x1 for c in corners]
+        for u1 in range(min(-(-u // d) for u in u1s), max(u // d for u in u1s) + 1):
+            for u2 in range(min(-(-u // d) for u in u2s), max(u // d for u in u2s) + 1):
                 p = Vec(b.a11 * u1 + b.a12 * u2, b.a21 * u1 + b.a22 * u2)
                 if x1_min <= p.x1 <= x1_max and x2_min <= p.x2 <= x2_max:
                     yield p

@@ -1,7 +1,11 @@
 """Exact convex lattice-polygon geometry.
 
 Polygons are closed regions: boundary points count as contained.  All
-predicates are computed in integer or rational arithmetic, never floats.
+predicates are computed in integer arithmetic, never floats: lattice rows
+are clipped by integer floor and ceiling division, and a chord's rational
+end parameters stay numerator/denominator pairs compared by
+cross-multiplication.  Only :func:`chord_interval` hands them out as
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -154,26 +158,32 @@ def convex_hull(points: Iterable[Vec]) -> Polygon:
 def lattice_points_in(poly: Polygon) -> list[Vec]:
     """All integer points inside or on the polygon, in lexicographic order.
 
-    Each horizontal row is clipped exactly: the rational x-interval comes
-    from edge intersections and is then rounded inward.
+    Each horizontal row is clipped exactly: every edge meeting the row
+    gives its crossing x = num/den, rounded inward by integer floor and
+    ceiling division, and since ceil(min xs) == min(ceil x) the row keeps
+    the smallest ceiling through the largest floor.
     """
-    ys = [v.x2 for v in poly.vertices]
-    points: list[Vec] = []
-    for y in range(min(ys), max(ys) + 1):
-        xs: list[Fraction] = []
-        for a, b in poly.edges():
-            lo, hi = min(a.x2, b.x2), max(a.x2, b.x2)
-            if lo <= y <= hi:
-                if a.x2 == b.x2:
-                    xs.append(Fraction(a.x1))
-                    xs.append(Fraction(b.x1))
-                else:
-                    t = Fraction(y - a.x2, b.x2 - a.x2)
-                    xs.append(a.x1 + t * (b.x1 - a.x1))
-        if not xs:
+    bottom = min(v.x2 for v in poly.vertices)
+    top = max(v.x2 for v in poly.vertices)
+    lo = [math.inf] * (top - bottom + 1)
+    hi = [-math.inf] * (top - bottom + 1)
+    for (ax, ay), (bx, by) in poly.edges():
+        if ay == by:
+            r = ay - bottom
+            lo[r] = min(lo[r], ax, bx)
+            hi[r] = max(hi[r], ax, bx)
             continue
-        for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
-            points.append(Vec(x, y))
+        dx, dy = bx - ax, by - ay
+        for y in range(min(ay, by), max(ay, by) + 1):
+            num = ax * dy + (y - ay) * dx  # the crossing is x = num / dy
+            r = y - bottom
+            lo[r] = min(lo[r], -(-num // dy))
+            hi[r] = max(hi[r], num // dy)
+    points = [
+        Vec(x, y)
+        for y, x_lo, x_hi in zip(range(bottom, top + 1), lo, hi)
+        for x in range(x_lo, x_hi + 1)
+    ]
     points.sort()
     return points
 
@@ -235,8 +245,46 @@ def bounding_stats(poly: Polygon) -> BoundingStats:
 
 def line_splits(poly: Polygon, line: Line) -> bool:
     """True iff the polygon has vertices strictly on both sides of the line."""
-    sides = [line.side(v) for v in poly.vertices]
-    return any(s > 0 for s in sides) and any(s < 0 for s in sides)
+    (ox, oy), (dx, dy) = line.anchor, line.direction
+    left = right = False
+    for x, y in poly.vertices:
+        c = dx * (y - oy) - dy * (x - ox)
+        if c > 0:
+            left = True
+        elif c < 0:
+            right = True
+    return left and right
+
+
+def _chord(poly: Polygon, line: Line) -> Optional[tuple[int, int, int, int]]:
+    """Integer core of :func:`chord_interval`: ``(lo_num, lo_den, hi_num,
+    hi_den)`` with positive denominators, or None when the line misses.
+
+    Each edge bounds the parameter t on one side by -alpha/beta; the bounds
+    are compared by cross-multiplication.
+    """
+    (ox, oy), (dx, dy) = line.anchor, line.direction
+    lo_num = lo_den = hi_num = hi_den = 0
+    verts = poly.vertices
+    ax, ay = verts[-1]
+    for bx, by in verts:
+        ex, ey = bx - ax, by - ay
+        beta = ex * dy - ey * dx
+        alpha = ex * (oy - ay) - ey * (ox - ax)
+        ax, ay = bx, by
+        if beta > 0:
+            if lo_den == 0 or -alpha * lo_den > lo_num * beta:
+                lo_num, lo_den = -alpha, beta
+        elif beta < 0:
+            if hi_den == 0 or alpha * hi_den < hi_num * -beta:
+                hi_num, hi_den = alpha, -beta
+        elif alpha < 0:
+            return None
+    if lo_den == 0 or hi_den == 0:
+        raise InvariantError("a two-dimensional polygon bounds every line on both sides")
+    if lo_num * hi_den > hi_num * lo_den:
+        return None
+    return lo_num, lo_den, hi_num, hi_den
 
 
 def chord_interval(poly: Polygon, line: Line) -> Optional[tuple[Fraction, Fraction]]:
@@ -244,28 +292,11 @@ def chord_interval(poly: Polygon, line: Line) -> Optional[tuple[Fraction, Fracti
 
     Returns None when the line misses the polygon.
     """
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for a, b in poly.edges():
-        e = b - a
-        beta = e.cross(line.direction)
-        alpha = e.cross(line.anchor - a)
-        if beta == 0:
-            if alpha < 0:
-                return None
-            continue
-        bound = Fraction(-alpha, beta)
-        if beta > 0:
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            if hi is None or bound < hi:
-                hi = bound
-    if lo is None or hi is None:
-        raise InvariantError("a two-dimensional polygon bounds every line on both sides")
-    if lo > hi:
+    chord = _chord(poly, line)
+    if chord is None:
         return None
-    return lo, hi
+    lo_num, lo_den, hi_num, hi_den = chord
+    return Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
 
 
 def segment_splits(poly: Polygon, seg: Segment) -> bool:
@@ -273,11 +304,11 @@ def segment_splits(poly: Polygon, seg: Segment) -> bool:
     line = Line.through(seg.a, seg.b)
     if not line_splits(poly, line):
         return False
-    chord = chord_interval(poly, line)
+    chord = _chord(poly, line)
     if chord is None:
         raise InvariantError("a splitting line meets the polygon")
-    lo, hi = chord
-    return lo >= 0 and hi <= 1
+    lo_num, _, hi_num, hi_den = chord
+    return lo_num >= 0 and hi_num <= hi_den
 
 
 def ray_splits(poly: Polygon, origin: Vec, direction: Vec) -> bool:
@@ -285,7 +316,7 @@ def ray_splits(poly: Polygon, origin: Vec, direction: Vec) -> bool:
     line = Line(origin, direction)
     if not line_splits(poly, line):
         return False
-    chord = chord_interval(poly, line)
+    chord = _chord(poly, line)
     if chord is None:
         raise InvariantError("a splitting line meets the polygon")
     return chord[0] >= 0

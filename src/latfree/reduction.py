@@ -20,12 +20,11 @@ from .polygon import (
     Line,
     Polygon,
     Segment,
+    _chord,
     apply_affine,
     bounding_stats,
-    chord_interval,
     lattice_points_in,
     line_splits,
-    polygon_free_of,
     segment_splits,
 )
 
@@ -87,10 +86,16 @@ class NormalizationResult:
 def lattice_diameter(poly: Polygon) -> DiameterWitness:
     """Longest string of collinear integer points in the polygon, minus one.
 
-    Quadratic in the number of interior lattice points; ties are broken by
-    the lexicographically smallest endpoint pair.
+    One integer clip of the polygon's lattice points (which
+    :func:`slab_normalize` shares with its freeness test), then a quadratic
+    pass over their pairs; ties are broken by the lexicographically
+    smallest endpoint pair.
     """
-    pts = lattice_points_in(poly)
+    return _diameter(lattice_points_in(poly))
+
+
+def _diameter(pts: list[Vec]) -> DiameterWitness:
+    # pts in lexicographic order, as lattice_points_in returns them
     best = -1
     best_pair: Optional[tuple[Vec, Vec]] = None
     for i in range(len(pts)):
@@ -112,12 +117,12 @@ def _chord_cell_index(poly: Polygon, x1: int, n: int) -> int:
     Zero when the line misses the polygon.  The chord of an n*Z^2-free
     polygon cannot touch a multiple of n, which the caller relies on.
     """
-    chord = chord_interval(poly, Line.vertical(x1))
+    chord = _chord(poly, Line.vertical(x1))
     if chord is None:
         return 0
-    lo, hi = chord
-    u = math.floor(lo / n)
-    if not (u * n < lo and hi < (u + 1) * n):
+    lo_num, lo_den, hi_num, hi_den = chord
+    u = lo_num // (lo_den * n)
+    if not (u * n * lo_den < lo_num and hi_num < (u + 1) * n * hi_den):
         raise InvariantError("chord touches a forbidden lattice point")
     return u
 
@@ -141,10 +146,11 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
     if n < 2:
         raise ValueError("slab normalization needs n >= 2")
     lattice = Sublattice.rectangular(n, n)
-    if not polygon_free_of(poly, lattice):
+    pts = lattice_points_in(poly)
+    if any(lattice.contains(p) for p in pts):
         raise NotLatticeFreeError("polygon not lattice-free")
 
-    wit = lattice_diameter(poly)
+    wit = _diameter(pts)
     p, q = wit.segment
     d = q - p
     g = math.gcd(d.x1, d.x2)
@@ -182,9 +188,11 @@ def check_diameter_slab_bound(poly: Polygon) -> bool:
     if stats.west < -(ell + 2) or stats.east > ell + 2:
         return False
     for x1 in (ell + 1, -(ell + 1)):
-        chord = chord_interval(poly, Line.vertical(x1))
-        if chord is not None and math.floor(chord[1]) >= math.ceil(chord[0]):
-            return False
+        chord = _chord(poly, Line.vertical(x1))
+        if chord is not None:
+            lo_num, lo_den, hi_num, hi_den = chord
+            if hi_num // hi_den >= -(-lo_num // lo_den):
+                return False
     return True
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import E1, E2, InvariantError, Mat2, Sublattice, Vec, int_pairs, steps
-from .polygon import Polygon, bounding_stats, ray_splits
+from .polygon import BoundingStats, Polygon, bounding_stats, ray_splits
 
 
 class SlopeError(ValueError):
@@ -167,22 +167,26 @@ def _frame_coords(frame: Frame, slope: Slope) -> list[Vec]:
     bases = {(slope.f1, slope.f2), (slope.f2, slope.f1)}
     if (frame.f1, frame.f2) not in bases:
         raise ValueError("frame basis must match the slope basis up to a swap")
-    return [frame.coords(v) for v in slope.vertices]
+    inv = frame.matrix().inverse_unimodular()
+    ox, oy = frame.origin
+    return [inv.mul_vec(Vec(x - ox, y - oy)) for x, y in slope.vertices]
 
 
 def _edge_hits_open_quadrant(p: Vec, q: Vec) -> bool:
-    lo = Fraction(0)
-    hi = Fraction(1)
+    # the parameter interval (lo, hi) within [0, 1] where p + t(q - p) has
+    # both coordinates positive, as fractions num/den with den > 0
+    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
     for pc, qc in ((p.x1, q.x1), (p.x2, q.x2)):
         d = qc - pc
         if d == 0:
             if pc <= 0:
                 return False
         elif d > 0:
-            lo = max(lo, Fraction(-pc, d))
-        else:
-            hi = min(hi, Fraction(-pc, d))
-    return lo < hi
+            if -pc * lo_den > lo_num * d:
+                lo_num, lo_den = -pc, d
+        elif pc * hi_den < hi_num * -d:
+            hi_num, hi_den = pc, -d
+    return lo_num * hi_den < hi_num * lo_den
 
 
 def frame_splits(frame: Frame, slope: Slope) -> bool:
@@ -190,7 +194,11 @@ def frame_splits(frame: Frame, slope: Slope) -> bool:
     fourth while passing through the open first quadrant."""
     if slope.n_edges == 0:
         return False
-    coords = _frame_coords(frame, slope)
+    return _coords_split(_frame_coords(frame, slope))
+
+
+def _coords_split(coords: list[Vec]) -> bool:
+    # frame_splits on the frame coordinates of a slope with an edge
     a, b = coords[0], coords[-1]
     second_to_fourth = a.x1 < 0 and a.x2 > 0 and b.x1 > 0 and b.x2 < 0
     fourth_to_second = b.x1 < 0 and b.x2 > 0 and a.x1 > 0 and a.x2 < 0
@@ -239,19 +247,16 @@ class SlopeProfile:
         return len(self.coords) - 1
 
 
-def _oriented_coords(frame: Frame, slope: Slope) -> list[Vec]:
+def slope_profile(frame: Frame, slope: Slope) -> SlopeProfile:
+    if slope.n_edges == 0:
+        raise ValueError("frame does not split the slope")
     coords = _frame_coords(frame, slope)
+    if not _coords_split(coords):
+        raise ValueError("frame does not split the slope")
     if coords[0].x1 > 0:
         coords.reverse()
     if not coords[0].x1 < 0 < coords[0].x2:
         raise InvariantError("a split slope starts in the frame's second quadrant")
-    return coords
-
-
-def slope_profile(frame: Frame, slope: Slope) -> SlopeProfile:
-    if not frame_splits(frame, slope):
-        raise ValueError("frame does not split the slope")
-    coords = _oriented_coords(frame, slope)
     edges = [coords[i] - coords[i - 1] for i in range(1, len(coords))]
     if not all(a.x1 > 0 > a.x2 for a in edges):
         raise InvariantError("slope edges point down-right in frame coordinates")
@@ -381,7 +386,10 @@ def check_projection_bound(frame: Frame, slope: Slope) -> CheckReport:
     small angle, (0, 0) otherwise.  Always asserts 2N <= v2 + w1; in the
     small-angle case additionally 2N <= v2 + w1 - t + s - ceil(-w2/2) + 1.
     """
-    prof = slope_profile(frame, slope)
+    return _projection_bound(frame, slope, slope_profile(frame, slope))
+
+
+def _projection_bound(frame: Frame, slope: Slope, prof: SlopeProfile) -> CheckReport:
     coords = prof.coords
     v, w = coords[0], coords[-1]
     n_edges = prof.n_edges
@@ -421,7 +429,12 @@ def check_sublattice_projection_bound(
     if not lattice.is_proper():
         raise ValueError("lattice must be a proper sublattice of Z^2")
     _require_in_lattice(slope, lattice)
-    prof = slope_profile(frame, slope)
+    return _sublattice_projection_bound(frame, slope, lattice, slope_profile(frame, slope))
+
+
+def _sublattice_projection_bound(
+    frame: Frame, slope: Slope, lattice: Sublattice, prof: SlopeProfile
+) -> CheckReport:
     v, w = prof.coords[0], prof.coords[-1]
     details = {"n_edges": prof.n_edges, "v": list(v), "w": list(w)}
     failures = []
@@ -501,6 +514,10 @@ def frame_splits_maximal(poly: Polygon, frame: Frame) -> Optional[int]:
     as chords; returns None when those preconditions fail, else the index k
     in 1..4 with the guarantee that the frame splits the k-th maximal slope.
     """
+    return _frame_splits_maximal(poly, frame, maximal_slopes(poly))
+
+
+def _frame_splits_maximal(poly: Polygon, frame: Frame, ms: MaximalSlopes) -> Optional[int]:
     key = (frame.f1, frame.f2)
     if key not in _AXIS_FRAME_TO_SLOPE:
         raise ValueError("frame basis vectors must be signed standard basis vectors")
@@ -509,7 +526,7 @@ def frame_splits_maximal(poly: Polygon, frame: Frame) -> Optional[int]:
     if not (ray_splits(poly, frame.origin, frame.f1) and ray_splits(poly, frame.origin, frame.f2)):
         return None
     k = _AXIS_FRAME_TO_SLOPE[key]
-    if not frame_splits(frame, maximal_slopes(poly).slope(k)):
+    if not frame_splits(frame, ms.slope(k)):
         raise InvariantError(f"frame does not split maximal slope {k}")
     return k
 
@@ -518,9 +535,14 @@ def check_step_bounds(poly: Polygon, lattice: Sublattice) -> CheckReport:
     """Nondegenerate axis faces of a lattice polygon span at least one large step."""
     if not all(lattice.contains(v) for v in poly.vertices):
         raise ValueError("polygon vertices must belong to the lattice")
+    return _step_bounds(poly, lattice, bounding_stats(poly), maximal_slopes(poly))
+
+
+def _step_bounds(
+    poly: Polygon, lattice: Sublattice, s: BoundingStats, ms: MaximalSlopes
+) -> CheckReport:
+    # check_step_bounds for a polygon whose vertices are known to lie in the lattice
     st = steps(lattice, E1, E2)
-    s = bounding_stats(poly)
-    ms = maximal_slopes(poly)
     gaps = {
         "bottom": (s.south_plus - s.south_minus, st.large_f1 * ms.m1),
         "right": (s.east_plus - s.east_minus, st.large_f2 * ms.m2),

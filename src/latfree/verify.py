@@ -38,10 +38,10 @@ from .slopes import (
     CheckReport,
     Frame,
     _finish,
-    check_projection_bound,
-    check_step_bounds,
-    check_sublattice_projection_bound,
-    frame_splits_maximal,
+    _frame_splits_maximal,
+    _projection_bound,
+    _step_bounds,
+    _sublattice_projection_bound,
     maximal_slopes,
     slope_profile,
 )
@@ -452,8 +452,9 @@ def type_ii_bound_pipeline(
         3: Frame(Vec(0, n), E1, -E2),
         4: Frame(Vec(0, 0), E1, E2),
     }
+    ms = maximal_slopes(poly)
     for k, frame in frames.items():
-        if frame_splits_maximal(poly, frame) != k:
+        if _frame_splits_maximal(poly, frame, ms) != k:
             failures.append(f"corner_frame_{k}")
 
     if b == 2:
@@ -462,7 +463,6 @@ def type_ii_bound_pipeline(
         if st.large_f1 < 2 or st.large_f2 < 2:
             failures.append("large_steps")
 
-    ms = maximal_slopes(poly)
     stats = bounding_stats(poly)
     adj = (b * b - 3 * b) // 2  # 0 for b=0, -1 for b in {1, 2}
     sum_bounds = 0
@@ -476,9 +476,9 @@ def type_ii_bound_pipeline(
         if 2 * slope.n_edges > bound:
             failures.append(f"slope_bound_{k}")
         if b == 0:
-            rep = check_projection_bound(frame, slope)
+            rep = _projection_bound(frame, slope, prof)
         else:
-            rep = check_sublattice_projection_bound(frame, slope, vertex_lattice)
+            rep = _sublattice_projection_bound(frame, slope, vertex_lattice, prof)
         if not rep.ok:
             failures.append(f"slope_check_{k}")
         slope_rows.append(
@@ -486,7 +486,7 @@ def type_ii_bound_pipeline(
         )
     details["slopes"] = slope_rows
 
-    step_report = check_step_bounds(poly, vertex_lattice)
+    step_report = _step_bounds(poly, vertex_lattice, stats, ms)
     if not step_report.ok:
         failures.append("step_bounds")
     beta = (b * b - b + 2) // 2  # 1 for b in {0, 1}, 2 for b=2

@@ -7,12 +7,31 @@ from fractions import Fraction
 
 import pytest
 
+import latfree
+from latfree import cli, polygon, reduction, slopes, verify
 from latfree.core import E1, E2, Mat2, Sublattice, Vec
 from latfree.polygon import DegenerateHullError, Polygon, convex_hull
 from latfree.slopes import Frame, Slope, frame_splits, validate_slope
 from latfree.verify import SearchBox, enumerate_free_polygons
 
 CORPUS_BOXES = {2: SearchBox(-1, 3, -1, 3), 3: SearchBox(-2, 5, -1, 4)}
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap the function ``name`` in every latfree module that binds it;
+    the returned list gains one entry per call."""
+    calls: list = []
+    for module in (latfree, polygon, reduction, slopes, verify, cli):
+        original = getattr(module, name, None)
+        if original is None:
+            continue
+
+        def wrapper(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 def random_convex_polygon(rng: random.Random, span: int = 15, max_points: int = 12) -> Polygon:

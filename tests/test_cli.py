@@ -174,6 +174,41 @@ def test_unwritable_output_is_usage_error(files, capsys, command):
     assert not any(line.startswith("error:") for line in err[:-1])
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["verify", "--box", "0,2,0,2"], id="verify"),
+        pytest.param(["enumerate", "--box", "0,2,0,2"], id="enumerate"),
+    ],
+)
+def test_unwritable_out_fails_before_search(files, capsys, command):
+    tmp, write = files
+    lattice = write("lat.json", {"delta": 2, "n": 2})
+    target = tmp / "missing-dir" / "out.json"
+    assert run(command + ["--lattice", lattice, "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(f"error: cannot write {target}:")
+
+
+def test_out_probe_leaves_paths_as_they_were(files, capsys):
+    tmp, write = files
+    lattice = write("lat.json", {"delta": 2, "n": 2})
+    assert run(["enumerate", "--lattice", lattice, "--box", "0,2,0,2"]) == 0
+    plain = capsys.readouterr()
+    out = tmp / "existing.json"
+    out.write_text("stale contents that the report replaces\n")
+    assert run(["enumerate", "--lattice", lattice, "--box", "0,2,0,2", "--out", str(out)]) == 0
+    assert capsys.readouterr() == plain
+    assert json.loads(out.read_text())["count"] == len(plain.out.splitlines())
+    # a run that fails after the probe leaves no file behind
+    zsquare = write("z.json", {"delta": 1, "n": 1})
+    fresh = tmp / "fresh.json"
+    assert run(["verify", "--lattice", zsquare, "--out", str(fresh)]) == 1
+    assert not fresh.exists()
+
+
 def test_closed_stdout_pipe_exits_quietly(files):
     tmp, write = files
     lattice = write("lat.json", {"delta": 3, "n": 3})

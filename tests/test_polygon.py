@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from latfree.polygon import (
     line_splits,
     pick_identity,
     polygon_free_of,
+    ray_splits,
     segment_splits,
 )
 
@@ -31,6 +33,9 @@ QUAD = Polygon([Vec(1, -1), Vec(4, 1), Vec(2, 4), Vec(-1, 2)])
 
 point_sets = st.lists(
     st.tuples(st.integers(-10, 10), st.integers(-10, 10)), min_size=3, max_size=50
+)
+small_point_sets = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=8
 )
 
 
@@ -216,6 +221,70 @@ class TestSplits:
                 continue
             if segment_splits(poly, Segment(a, b)):
                 assert line_splits(poly, Line.through(a, b))
+
+
+def reference_chord(poly, line):
+    # the Fraction algorithm the integer chord replaced
+    lo = hi = None
+    for a, b in poly.edges():
+        e = b - a
+        beta = e.cross(line.direction)
+        alpha = e.cross(line.anchor - a)
+        if beta == 0:
+            if alpha < 0:
+                return None
+            continue
+        bound = Fraction(-alpha, beta)
+        if beta > 0:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    return None if lo > hi else (lo, hi)
+
+
+class TestChordOracle:
+    # small hulls have short edges, so a line one step beside an edge is common
+    @given(st.one_of(small_point_sets, point_sets), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, pts, data):
+        try:
+            poly = convex_hull([Vec(*p) for p in pts])
+        except DegenerateHullError:
+            return
+        # anchors anywhere, or next to a vertex so that lines graze the
+        # boundary and run one step outside an edge
+        coord, near = st.integers(-12, 12), st.integers(-1, 1)
+        if data.draw(st.booleans()):
+            anchor = Vec(data.draw(coord), data.draw(coord))
+        else:
+            anchor = data.draw(st.sampled_from(poly.vertices)) + Vec(data.draw(near), data.draw(near))
+        k = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        kind = data.draw(st.sampled_from(["horizontal", "vertical", "edge", "vertex", "any"]))
+        if kind == "horizontal":
+            direction = Vec(k, 0)
+        elif kind == "vertical":
+            direction = Vec(0, k)
+        elif kind == "edge":
+            # parallel to an edge, through the edge or one step beside it
+            a, b = data.draw(st.sampled_from(poly.edges()))
+            anchor = a + Vec(data.draw(near), data.draw(near))
+            direction = (b - a).scaled(k)
+        elif kind == "vertex":
+            # the segment ends on a vertex: chord ends at t = 1 exactly
+            direction = data.draw(st.sampled_from(poly.vertices)) - anchor
+        else:
+            direction = Vec(data.draw(coord), data.draw(coord))
+        if direction == Vec(0, 0):
+            return
+        line = Line(anchor, direction)
+        want = reference_chord(poly, line)
+        assert chord_interval(poly, line) == want
+        sides = {line.side(v) for v in poly.vertices}
+        splits = {-1, 1} <= sides
+        assert line_splits(poly, line) == splits
+        assert ray_splits(poly, anchor, direction) == (splits and want[0] >= 0)
+        seg = Segment(anchor, anchor + direction)
+        assert segment_splits(poly, seg) == (splits and want[0] >= 0 and want[1] <= 1)
 
 
 class TestApplyAffine:

@@ -31,7 +31,7 @@ from latfree.reduction import (
     slab_normalize,
 )
 
-from conftest import random_convex_polygon, random_unimodular
+from conftest import count_calls, random_convex_polygon, random_unimodular
 
 DIAMOND = Polygon([Vec(1, 0), Vec(2, 1), Vec(1, 2), Vec(0, 1)])
 QUAD = Polygon([Vec(1, -1), Vec(4, 1), Vec(2, 4), Vec(-1, 2)])
@@ -224,6 +224,15 @@ def test_table_row(monkeypatch, case, ij, n, vertices, kind):
     assert exc.value.profile == SplitProfile(case, *ij)
     assert exc.value.polygon == poly
     assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "vertices, n", [(v, n) for _, _, n, v, _ in ROW_INSTANCES] + [(OCTAGON.vertices, 3)]
+)
+def test_classify_clips_lattice_points_once(monkeypatch, vertices, n):
+    calls = count_calls(monkeypatch, "lattice_points_in")
+    classify_type(Polygon([Vec(*v) for v in vertices]), n)
+    assert len(calls) == 1
 
 
 def _longest_column_string(poly: Polygon, columns: range) -> int:

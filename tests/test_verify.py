@@ -26,6 +26,8 @@ from latfree.verify import (
     verify_vertex_threshold,
 )
 
+from conftest import count_calls
+
 DIAMOND = Polygon([Vec(1, 0), Vec(2, 1), Vec(1, 2), Vec(0, 1)])
 QUAD = Polygon([Vec(1, -1), Vec(4, 1), Vec(2, 4), Vec(-1, 2)])
 
@@ -255,6 +257,24 @@ class TestTypeIIPipeline:
     def test_rejects_untyped_polygon(self):
         with pytest.raises(ValueError, match="type II"):
             type_ii_bound_pipeline(DIAMOND, 3, Sublattice.zsquare())
+
+    @pytest.mark.parametrize(
+        "poly, n, lattice",
+        [
+            (QUAD, 3, Sublattice.zsquare()),
+            (Polygon([Vec(-1, 3), Vec(1, -1), Vec(5, 1), Vec(3, 5)]), 4,
+             Sublattice.from_matrix(Mat2(1, -2, -1, 4))),
+            (Polygon([Vec(-1, 3), Vec(2, -1), Vec(6, 2), Vec(3, 6)]), 5,
+             Sublattice.from_matrix(Mat2(-2, -5, 1, 0))),
+        ],
+        ids=["b0-quad", "b1", "b2"],
+    )
+    def test_slope_facts_computed_once(self, monkeypatch, poly, n, lattice):
+        slopes_calls = count_calls(monkeypatch, "maximal_slopes")
+        profile_calls = count_calls(monkeypatch, "slope_profile")
+        assert type_ii_bound_pipeline(poly, n, lattice).ok
+        assert len(slopes_calls) == 1
+        assert len(profile_calls) <= 4
 
 
 class TestPentagonParity:
