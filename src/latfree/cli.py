@@ -17,13 +17,12 @@ from .core import InvariantError, LatticeError, Sublattice, Vec
 from .polygon import (
     GeometryError,
     Polygon,
-    apply_affine,
     bounding_stats,
     pick_identity,
 )
 from .reduction import (
     NotLatticeFreeError,
-    classify_type,
+    _classify,
     lattice_diameter,
     slab_normalize,
 )
@@ -179,8 +178,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_classify(args) -> int:
     poly = _load_polygon(args.polygon)
-    mapping, tag = classify_type(poly, args.n)
-    image = apply_affine(poly, mapping)
+    mapping, tag, image = _classify(poly, args.n)
     obj = {
         "type": tag.kind,
         "n": tag.n,
@@ -228,8 +226,7 @@ def _cmd_slopes(args) -> int:
 def _cmd_check_bounds(args) -> int:
     poly = _load_polygon(args.polygon)
     lattice = _load_lattice(args.lattice)
-    mapping, tag = classify_type(poly, args.n)
-    image = apply_affine(poly, mapping)
+    mapping, tag, image = _classify(poly, args.n)
     image_lattice = Sublattice.from_matrix(mapping.linear @ lattice.basis)
     reports = [check_type_vertex_bound(image, tag, image_lattice)]
     if tag.kind == "II":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class LatticeError(ValueError):
@@ -295,26 +295,6 @@ class Sublattice:
         b = self.basis
         d = b.det()
         return (p.x1 * b.a22 - p.x2 * b.a12) % d == 0 and (b.a11 * p.x2 - b.a21 * p.x1) % d == 0
-
-    def points_in_box(
-        self, x1_min: int, x1_max: int, x2_min: int, x2_max: int
-    ) -> Iterator[Vec]:
-        b = self.basis
-        d = b.det()
-        corners = [
-            Vec(x1_min, x2_min),
-            Vec(x1_min, x2_max),
-            Vec(x1_max, x2_min),
-            Vec(x1_max, x2_max),
-        ]
-        # basis coordinates of the corners are num/d; ceil(min) == min(ceil)
-        u1s = [c.x1 * b.a22 - c.x2 * b.a12 for c in corners]
-        u2s = [b.a11 * c.x2 - b.a21 * c.x1 for c in corners]
-        for u1 in range(min(-(-u // d) for u in u1s), max(u // d for u in u1s) + 1):
-            for u2 in range(min(-(-u // d) for u in u2s), max(u // d for u in u2s) + 1):
-                p = Vec(b.a11 * u1 + b.a12 * u2, b.a21 * u1 + b.a22 * u2)
-                if x1_min <= p.x1 <= x1_max and x2_min <= p.x2 <= x2_max:
-                    yield p
 
     def to_obj(self) -> dict:
         if self.basis == Mat2(self.delta, 0, 0, self.n):

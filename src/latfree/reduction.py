@@ -335,6 +335,12 @@ def classify_type(poly: Polygon, n: int) -> tuple[AffineMap, TypeTag]:
     Raises :class:`ClassificationError` when the table has no row for the
     split profile or the image fails the clause.
     """
+    total, tag, _ = _classify(poly, n)
+    return total, tag
+
+
+def _classify(poly: Polygon, n: int) -> tuple[AffineMap, TypeTag, Polygon]:
+    """:func:`classify_type` together with the image of the polygon."""
     norm = slab_normalize(poly, n)
     image, total = norm.image, norm.map
 
@@ -363,4 +369,4 @@ def classify_type(poly: Polygon, n: int) -> tuple[AffineMap, TypeTag]:
     tag = TypeTag(kind, n)
     if not satisfies_type(image, tag):
         raise ClassificationError(f"image fails type {kind}", poly, profile)
-    return total, tag
+    return total, tag, image

@@ -39,9 +39,6 @@ class Frame(NamedTuple):
     def matrix(self) -> Mat2:
         return Mat2.from_columns(self.f1, self.f2)
 
-    def coords(self, p: Vec) -> Vec:
-        return self.matrix().inverse_unimodular().mul_vec(p - self.origin)
-
 
 @dataclass(frozen=True)
 class Slope:

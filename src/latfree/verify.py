@@ -6,22 +6,24 @@ sublattice with invariant factors (delta, n).  This module builds the
 extremal (nu - 1)-gons, exhaustively enumerates lattice-free polygons over
 bounded boxes, and replays the type-II inequality pipeline as computation.
 
-The enumeration (``enumerate``) is a DFS over convex chains: candidate
-points are scanned in (x2, x1) order, each chain starts at the polygon's
-lowest vertex p and grows counter-clockwise with strictly increasing edge
-angles, and a branch is pruned as soon as the fan triangle it adds covers
-a forbidden lattice point (growing a convex polygon only ever adds covered
-points, so the pruning is sound).  It lists every polygon, so its cost is
-exponential in the worst case.
-
-The threshold check (``verify``) asks only for the count, the largest
-vertex count and one witness, so it solves the same search as a fan DP
+Both commands search the convex chains that start at a polygon's lowest
+vertex p: candidate points are scanned in (x2, x1) order, and a chain
+grows counter-clockwise with strictly increasing edge angles; a step is
+refused as soon as the fan triangle it adds covers a forbidden lattice
+point (growing a convex polygon only ever adds covered points, so the
+refusal is sound).  Every such test depends on p and the last edge alone,
+so the completions of a chain are a function of its last edge: a fan DP
 (Dobkin, Edelsbrunner and Overmars, *Searching for empty convex polygons*,
-1990, with "empty" read as "free of lattice points"): every DFS test
-depends on p and the last edge alone, so the completions of a chain are a
-function of its last edge, computed once per start.  That is at most
-quadratically many states per start, and ``chains_explored`` counts them.
-The DFS stays the reference the DP is tested against.
+1990, with "empty" read as "free of lattice points") solves them once per
+start, in at most quadratically many states.
+
+The threshold check (``verify``) reads the count, the largest vertex count
+and one witness off the DP; ``chains_explored`` counts its states.  The
+stream (``enumerate``) walks the DP's memo depth-first and enters only
+states with a completion of at least ``min_vertices`` vertices, so every
+state it enters lies on an emitted polygon and its cost follows the
+output.  The plain chain DFS that the DP replaced is kept in the tests as
+the oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -136,12 +138,30 @@ def _prepare(lattice: Sublattice, box: SearchBox) -> tuple[list, list]:
     return cand, lpts
 
 
-def _fan(cand: list, lpts: list, i0: int) -> tuple:
-    """The start p = cand[i0], the later candidates in scan order, and the
-    two freeness tests of the fan around p: seg_blocked(q) for the first
-    edge (p, q) and tri_blocked(u, v) for the fan triangle (p, u, v).  A
-    lattice point on the boundary blocks."""
+def _fan_dp(cand: list, lpts: list, i0: int) -> tuple:
+    """The fan DP for the polygons whose (x2, x1)-lowest vertex is the
+    start p = cand[i0].
+
+    ``tail`` is the later candidates in scan order.  The state (a, b) is a
+    chain from p whose last edge runs from tail[a] (from p when a is -1)
+    to tail[b].  Returns (tail, firsts, memo, moves):
+
+    - ``firsts``: the b, in scan order, whose first edge (p, tail[b]) is
+      free;
+    - ``memo``: (a, b) -> (count, longest) for every state reachable from
+      them: the number of polygons that complete the chain (the chain
+      itself counts when it closes) and the most vertices any of them
+      adds, -1 when there are none;
+    - ``moves(a, b)``: the successors k of the state, in scan order.
+
+    A lattice point on the boundary blocks.
+    """
     p0x, p0y = cand[i0]
+    tail = cand[i0 + 1 :]
+    m = len(tail)
+    steps: dict = {}  # b -> (k, tail[k] - tail[b]) for every k != b, and for k < b
+    free: dict = {}  # b * m + k -> the fan triangle (p, tail[b], tail[k]) is free
+    memo: dict = {}
 
     def seg_blocked(qx: int, qy: int) -> bool:
         dx, dy = qx - p0x, qy - p0y
@@ -167,86 +187,21 @@ def _fan(cand: list, lpts: list, i0: int) -> tuple:
             return True
         return False
 
-    return p0x, p0y, cand[i0 + 1 :], seg_blocked, tri_blocked
-
-
-def _chains(cand: list, lpts: list, i0: int, min_v: int) -> Iterator[tuple]:
-    """All convex chains closing into strictly convex CCW polygons whose
-    (x2, x1)-lowest vertex is cand[i0], pruned for lattice freeness."""
-    p0x, p0y, tail, seg_blocked, tri_blocked = _fan(cand, lpts, i0)
-    chain = [(p0x, p0y)]
-
-    def extend(udx: int, udy: int, fdx: int, fdy: int) -> Iterator[tuple]:
-        ux, uy = chain[-1]
-        if len(chain) >= min_v:
-            cdx, cdy = p0x - ux, p0y - uy
-            if udx * cdy - udy * cdx > 0 and cdx * fdy - cdy * fdx > 0:
-                hu = 0 if (udy > 0 or (udy == 0 and udx > 0)) else 1
-                hc = 0 if (cdy > 0 or (cdy == 0 and cdx > 0)) else 1
-                if hu <= hc:
-                    yield tuple(chain)
-        for vx, vy in tail:
-            dx, dy = vx - ux, vy - uy
-            if udx * dy - udy * dx <= 0:
-                continue
-            hu = 0 if (udy > 0 or (udy == 0 and udx > 0)) else 1
-            hd = 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-            if hu > hd:
-                continue
-            if tri_blocked(ux, uy, vx, vy):
-                continue
-            chain.append((vx, vy))
-            yield from extend(dx, dy, fdx, fdy)
-            chain.pop()
-
-    for vx, vy in tail:
-        if seg_blocked(vx, vy):
-            continue
-        dx, dy = vx - p0x, vy - p0y
-        chain.append((vx, vy))
-        yield from extend(dx, dy, dx, dy)
-        chain.pop()
-
-
-def enumerate_free_polygons(
-    lattice: Sublattice, box: SearchBox, min_vertices: int = 3
-) -> Iterator[Polygon]:
-    """Every strictly convex polygon with at least min_vertices vertices,
-    vertices in the box but not on the lattice, and no lattice point
-    inside or on it.  Deterministic order."""
-    min_v = max(3, min_vertices)
-    cand, lpts = _prepare(lattice, box)
-    for i0 in range(len(cand)):
-        for chain in _chains(cand, lpts, i0, min_v):
-            yield Polygon(chain)
-
-
-def _fan_dp(cand: list, lpts: list, i0: int) -> tuple:
-    """The polygons of :func:`_chains` with min_v = 3 for the start
-    p = cand[i0], solved by a DP over the last edge instead of listed.
-
-    Returns (vertices of the longest, its chain, count, DP states), where
-    the chain is the lexicographically smallest longest one, or
-    (0, None, 0, states) when no polygon starts at p.
-    """
-    p0x, p0y, tail, seg_blocked, tri_blocked = _fan(cand, lpts, i0)
-    m = len(tail)
-    steps: dict = {}  # u -> (k, tail[k] - tail[u]) for every k, and for k below u
-    free: dict = {}  # u * m + v -> the fan triangle (p, tail[u], tail[v]) is free
-    memo: dict = {}  # (prev, cur) -> (count, longest); prev -1 stands for p
-
-    def moves(b: int, udx: int, udy: int) -> list:
-        # The DFS's step tests from tail[b] after an edge of direction ud:
-        # a strict left turn, no edge back in the upper half-plane of
-        # directions once one has left it (hu <= hd), and a free fan
-        # triangle.  The turn test is skipped for the half-plane misses.
+    def edge(a: int, b: int) -> tuple:
+        sx, sy = (p0x, p0y) if a < 0 else tail[a]
         ux, uy = tail[b]
+        return ux - sx, uy - sy
+
+    def moves(a: int, b: int) -> list:
+        # A strict left turn, no edge back in the upper half-plane of
+        # directions once one has left it, and a free fan triangle.  tail
+        # is in (x2, x1) order, so the k < b are exactly the steps down.
+        # The turn test is skipped for the half-plane misses.
+        ux, uy = tail[b]
+        udx, udy = edge(a, b)
         if b not in steps:
-            up = [(k, vx - ux, vy - uy) for k, (vx, vy) in enumerate(tail)
-                  if vy > uy or (vy == uy and vx > ux)]
-            down = [(k, vx - ux, vy - uy) for k, (vx, vy) in enumerate(tail)
-                    if vy < uy or (vy == uy and vx < ux)]
-            steps[b] = (up + down, down)
+            every = [(k, vx - ux, vy - uy) for k, (vx, vy) in enumerate(tail) if k != b]
+            steps[b] = (every, every[:b])
         every, below = steps[b]
         out = []
         for k, dx, dy in every if (udy > 0 or (udy == 0 and udx > 0)) else below:
@@ -261,23 +216,18 @@ def _fan_dp(cand: list, lpts: list, i0: int) -> tuple:
                 out.append(k)
         return out
 
-    def edge(a: int, b: int) -> tuple:
-        sx, sy = (p0x, p0y) if a < 0 else tail[a]
-        ux, uy = tail[b]
-        return ux - sx, uy - sy
-
     def solve(a: int, b: int) -> tuple:
-        # (number of closable completions, most vertices any of them adds)
         got = memo.get((a, b))
         if got is not None:
             return got
         udx, udy = edge(a, b)
         ux, uy = tail[b]
         count, longest = 0, -1
-        # The DFS also asks for a left turn at p.  That follows: the edge
-        # angles rise strictly inside [0, 2*pi) from a first edge below pi,
-        # and a closed polygon turns through more than pi, so the last turn
-        # is less than pi.  Leaving it out keeps the first edge out of the
+        # The chain closes at p after a left turn at tail[b] that keeps
+        # the edge angles rising.  A left turn at p follows: the angles
+        # rise strictly inside [0, 2*pi) from a first edge below pi, and a
+        # closed polygon turns through more than pi, so the last turn is
+        # less than pi.  Leaving it out keeps the first edge out of the
         # state.
         cdx, cdy = p0x - ux, p0y - uy
         if udx * cdy - udy * cdx > 0:
@@ -285,7 +235,7 @@ def _fan_dp(cand: list, lpts: list, i0: int) -> tuple:
             hc = 0 if (cdy > 0 or (cdy == 0 and cdx > 0)) else 1
             if hu <= hc:
                 count, longest = 1, 0
-        for k in moves(b, udx, udy):
+        for k in moves(a, b):
             c, l = memo.get((b, k)) or solve(b, k)
             if c:
                 count += c
@@ -294,30 +244,69 @@ def _fan_dp(cand: list, lpts: list, i0: int) -> tuple:
         memo[(a, b)] = got = (count, longest)
         return got
 
-    count, best, first = 0, -1, -1
-    for b, (vx, vy) in enumerate(tail):
-        if seg_blocked(vx, vy):
-            continue
-        c, l = solve(-1, b)
-        count += c
-        if c and (l > best or (l == best and tail[b] < tail[first])):
-            best, first = l, b
-    chain: list = []
-    if first >= 0:
-        # rebuild the smallest longest chain: from each state take the
-        # smallest successor whose longest completion is one vertex shorter
-        chain = [(p0x, p0y), tail[first]]
-        a, b = -1, first
-        for r in range(best, 0, -1):
-            a, b = b, min(
-                (k for k in moves(b, *edge(a, b)) if memo[(b, k)][1] == r - 1),
-                key=tail.__getitem__,
-            )
-            chain.append(tail[b])
-    # solve reaches itself through its closure; unbinding it frees the
-    # tables now instead of at the next cyclic garbage collection
+    firsts = [b for b, (vx, vy) in enumerate(tail) if not seg_blocked(vx, vy)]
+    for b in firsts:
+        solve(-1, b)
+    # solve reaches itself through its closure; unbinding it lets the
+    # tables go with the caller's last reference instead of at the next
+    # cyclic garbage collection
     del solve
-    return len(chain), tuple(chain) or None, count, len(memo)
+    return tail, firsts, memo, moves
+
+
+def enumerate_free_polygons(
+    lattice: Sublattice, box: SearchBox, min_vertices: int = 3
+) -> Iterator[Polygon]:
+    """Every strictly convex polygon with at least min_vertices vertices,
+    vertices in the box but not on the lattice, and no lattice point
+    inside or on it.  Deterministic order: by lowest vertex, then
+    depth-first over the chain's vertices in scan order, each chain
+    before its extensions."""
+    min_v = max(3, min_vertices)
+    cand, lpts = _prepare(lattice, box)
+
+    def walk(a: int, ks: list) -> Iterator[Polygon]:
+        # The chain ends at tail[a] (at p when a is -1) and ks are its
+        # successors; this reads the current start's tables.  Only states
+        # with a completion of min_v or more vertices are entered.  Such a
+        # chain closes itself once it has three vertices: its polygon keeps
+        # some vertices of a free convex polygon in their cyclic order, so
+        # it is convex and free too, and it is emitted at min_v vertices.
+        for b in ks:
+            c, l = memo[(a, b)]
+            if c and len(chain) + 1 + l >= min_v:
+                chain.append(tail[b])
+                if len(chain) >= min_v:
+                    yield Polygon(chain)
+                yield from walk(b, moves(a, b))
+                chain.pop()
+
+    for i0 in range(len(cand)):
+        tail, firsts, memo, moves = _fan_dp(cand, lpts, i0)
+        chain = [cand[i0]]
+        yield from walk(-1, firsts)
+
+
+def _longest(cand: list, lpts: list, i0: int) -> tuple:
+    """(vertices of the longest polygon, its chain, count, DP states) for
+    the start cand[i0], where the chain is the lexicographically smallest
+    longest one, or (0, None, 0, states) when no polygon starts there."""
+    tail, firsts, memo, moves = _fan_dp(cand, lpts, i0)
+    count, best, a, b = 0, -1, -1, -1
+    for k in firsts:
+        c, l = memo[(-1, k)]
+        count += c
+        if l > best:
+            best, b = l, k
+    if b < 0:
+        return 0, None, count, len(memo)
+    # rebuild the smallest longest chain: from each state take the first
+    # successor in scan order whose longest completion is one vertex shorter
+    chain = [cand[i0], tail[b]]
+    for r in range(best - 1, -1, -1):
+        a, b = b, next(k for k in moves(a, b) if memo[(b, k)][1] == r)
+        chain.append(tail[b])
+    return len(chain), tuple(chain), count, len(memo)
 
 
 def _merge(results) -> tuple:
@@ -382,7 +371,7 @@ def verify_vertex_threshold(
     start = time.perf_counter()
     cand, lpts = _prepare(lattice, box)
     best_len, best_chain, found, states = _merge(
-        _fan_dp(cand, lpts, i0) for i0 in range(len(cand))
+        _longest(cand, lpts, i0) for i0 in range(len(cand))
     )
     witness = Polygon(best_chain) if best_chain is not None else None
     elapsed = time.perf_counter() - start

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
@@ -32,6 +33,79 @@ def count_calls(monkeypatch, name: str) -> list:
 
         monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def dfs_chains(lattice: Sublattice, box: SearchBox) -> Iterator[tuple]:
+    """The plain chain DFS, kept as an oracle independent of the library's
+    fan DP: every convex chain closing into a strictly convex CCW polygon
+    with vertices in the box but off the lattice and no lattice point
+    inside or on it.  Chains start at the polygon's
+    (x2, x1)-lowest vertex p and grow counter-clockwise; a step is pruned
+    as soon as the fan triangle it adds covers a lattice point.  The order
+    is the one ``enumerate_free_polygons`` promises."""
+    cand, lpts = [], []
+    for y in range(box.x2_min, box.x2_max + 1):
+        for x in range(box.x1_min, box.x1_max + 1):
+            (lpts if lattice.contains(Vec(x, y)) else cand).append((x, y))
+    for i0 in range(len(cand)):
+        yield from _dfs_from(cand, lpts, i0)
+
+
+def _dfs_from(cand: list, lpts: list, i0: int) -> Iterator[tuple]:
+    p0x, p0y = cand[i0]
+    tail = cand[i0 + 1 :]
+    chain = [(p0x, p0y)]
+
+    def seg_blocked(qx: int, qy: int) -> bool:
+        dx, dy = qx - p0x, qy - p0y
+        for lx, ly in lpts:
+            ex, ey = lx - p0x, ly - p0y
+            if dx * ey - dy * ex == 0 and 0 <= ex * dx + ey * dy <= dx * dx + dy * dy:
+                return True
+        return False
+
+    def tri_blocked(ux: int, uy: int, vx: int, vy: int) -> bool:
+        ax, ay, bx, by = ux, uy, vx, vy
+        if (ax - p0x) * (by - p0y) - (ay - p0y) * (bx - p0x) < 0:
+            ax, ay, bx, by = vx, vy, ux, uy
+        return any(
+            (ax - p0x) * (ly - p0y) - (ay - p0y) * (lx - p0x) >= 0
+            and (bx - ax) * (ly - ay) - (by - ay) * (lx - ax) >= 0
+            and (p0x - bx) * (ly - by) - (p0y - by) * (lx - bx) >= 0
+            for lx, ly in lpts
+        )
+
+    def upper(dx: int, dy: int) -> int:
+        # 0 for directions in [0, pi), 1 for [pi, 2*pi)
+        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+    def extend(udx: int, udy: int, fdx: int, fdy: int) -> Iterator[tuple]:
+        ux, uy = chain[-1]
+        if len(chain) >= 3:
+            cdx, cdy = p0x - ux, p0y - uy
+            if (
+                udx * cdy - udy * cdx > 0
+                and cdx * fdy - cdy * fdx > 0
+                and upper(udx, udy) <= upper(cdx, cdy)
+            ):
+                yield tuple(chain)
+        for vx, vy in tail:
+            dx, dy = vx - ux, vy - uy
+            if udx * dy - udy * dx <= 0 or upper(udx, udy) > upper(dx, dy):
+                continue
+            if tri_blocked(ux, uy, vx, vy):
+                continue
+            chain.append((vx, vy))
+            yield from extend(dx, dy, fdx, fdy)
+            chain.pop()
+
+    for vx, vy in tail:
+        if seg_blocked(vx, vy):
+            continue
+        dx, dy = vx - p0x, vy - p0y
+        chain.append((vx, vy))
+        yield from extend(dx, dy, dx, dy)
+        chain.pop()
 
 
 def random_convex_polygon(rng: random.Random, span: int = 15, max_points: int = 12) -> Polygon:

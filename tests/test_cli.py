@@ -13,6 +13,11 @@ from hypothesis import strategies as st
 import latfree
 from latfree.cli import run
 from latfree.polygon import Polygon
+from latfree.reduction import classify_type
+
+from conftest import count_calls
+
+QUAD = {"vertices": [[1, -1], [4, 1], [2, 4], [-1, 2]]}
 
 
 @pytest.fixture
@@ -63,6 +68,21 @@ def test_classify_round_trips_canonical_polygon(files, capsys):
     obj = json.loads(capsys.readouterr().out)
     image = Polygon.from_obj(obj["image"])
     assert Polygon.from_obj(image.to_obj()) == image
+
+
+@pytest.mark.parametrize("command", ["classify", "check-bounds"])
+def test_cli_maps_the_polygon_once(files, monkeypatch, command):
+    # the command reuses the image classification built instead of mapping
+    # the polygon again
+    tmp, write = files
+    poly = write("quad.json", QUAD)
+    lattice = ["--lattice", write("z2.json", {"delta": 1, "n": 1})] if command == "check-bounds" else []
+    calls = count_calls(monkeypatch, "apply_affine")
+    classify_type(Polygon.from_obj(QUAD), 3)
+    bare = len(calls)
+    calls.clear()
+    assert run([command, poly, *lattice, "--n", "3"]) == 0
+    assert len(calls) == bare
 
 
 def test_slopes_command(files, capsys):

@@ -179,17 +179,6 @@ class TestContains:
             for x2 in range(-20, 21):
                 assert lat.contains(Vec(x1, x2)) == (Vec(x1, x2) in brute)
 
-    def test_points_in_box_matches_contains(self):
-        lat = Sublattice.from_matrix(Mat2(2, -1, 1, 2))
-        got = set(lat.points_in_box(-7, 7, -7, 7))
-        want = {
-            Vec(x1, x2)
-            for x1 in range(-7, 8)
-            for x2 in range(-7, 8)
-            if lat.contains(Vec(x1, x2))
-        }
-        assert got == want
-
 
 def brute_force_steps(lat: Sublattice, f1: Vec, f2: Vec, span: int = 60):
     large1 = next(u for u in range(1, span) if lat.contains(f1.scaled(u)))

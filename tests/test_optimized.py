@@ -51,8 +51,9 @@ def inputs(tmp_path_factory):
         ["classify", "{quad}", "--n", "3"],
         ["check-bounds", "{quad}", "--lattice", "{z2}", "--n", "3"],
         ["verify", "--lattice", "{lat22}", "--box", "-1,3,-1,3"],
+        ["enumerate", "--lattice", "{lat22}", "--box", "-1,3,-1,3", "--min-vertices", "4"],
     ],
-    ids=["classify", "check-bounds", "verify"],
+    ids=["classify", "check-bounds", "verify", "enumerate"],
 )
 def test_cli_under_python_O_matches(inputs, args):
     args = [arg.format(**inputs) for arg in args]

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-import latfree.verify as verify_module
 from latfree.core import Mat2, Sublattice, Vec
 from latfree.polygon import (
     DegenerateHullError,
@@ -26,7 +25,7 @@ from latfree.verify import (
     verify_vertex_threshold,
 )
 
-from conftest import count_calls
+from conftest import count_calls, dfs_chains
 
 DIAMOND = Polygon([Vec(1, 0), Vec(2, 1), Vec(1, 2), Vec(0, 1)])
 QUAD = Polygon([Vec(1, -1), Vec(4, 1), Vec(2, 4), Vec(-1, 2)])
@@ -165,41 +164,56 @@ class TestVerify:
         assert obj["consistent"] is True
 
 
-def _dfs_oracle(lattice, box):
-    """Max, count and witness straight from the chain DFS: the longest
-    chain, the lexicographically smallest on ties."""
-    cand, lpts = verify_module._prepare(lattice, box)
-    best, best_chain, count = 0, None, 0
-    for i0 in range(len(cand)):
-        for chain in verify_module._chains(cand, lpts, i0, 3):
-            count += 1
-            if len(chain) > best or (len(chain) == best and chain < best_chain):
-                best, best_chain = len(chain), chain
-    return best, count, None if best_chain is None else Polygon(best_chain)
+# boxes where the DFS answers within seconds; the (2, 2) default box is
+# -1,3,-1,3
+DFS_BOXES = {
+    "2,2": (Sublattice.rectangular(2, 2), None),
+    "1,3": (Sublattice.rectangular(1, 3), None),
+    "3,3-box": (Sublattice.rectangular(3, 3), SearchBox(-2, 5, -1, 4)),
+    "2,4-box": (Sublattice.rectangular(2, 4), SearchBox(0, 4, 0, 4)),
+    "4,4-box": (Sublattice.rectangular(4, 4), SearchBox(0, 4, 0, 4)),
+    "1,2-box": (Sublattice.rectangular(1, 2), SearchBox(0, 4, 0, 4)),
+    # non-rectangular: x2 = x1 mod 3, and x1 even with x2 = x1 mod 4
+    "sheared-1,3": (Sublattice.from_matrix(Mat2(1, 0, 1, 3)), None),
+    "sheared-2,4": (Sublattice.from_matrix(Mat2(2, 0, 2, 4)), SearchBox(-1, 4, -1, 4)),
+}
+
+
+@pytest.fixture(scope="class", params=list(DFS_BOXES.values()), ids=list(DFS_BOXES))
+def dfs_box(request):
+    """(lattice, box, every chain of the DFS oracle)."""
+    lattice, box = request.param
+    box = box or default_box(lattice)
+    return lattice, box, list(dfs_chains(lattice, box))
+
+
+def _as_polygon(chain: tuple) -> tuple:
+    # Polygon's vertex order: the same cycle from its smallest vertex
+    i = chain.index(min(chain))
+    return chain[i:] + chain[:i]
 
 
 class TestFanDP:
-    # boxes where the DFS answers within seconds; the (2, 2) default box
-    # is -1,3,-1,3
-    @pytest.mark.parametrize(
-        "lattice,box",
-        [
-            (Sublattice.rectangular(2, 2), None),
-            (Sublattice.rectangular(1, 3), None),
-            (Sublattice.rectangular(3, 3), SearchBox(-2, 5, -1, 4)),
-            (Sublattice.rectangular(2, 4), SearchBox(0, 4, 0, 4)),
-            (Sublattice.rectangular(4, 4), SearchBox(0, 4, 0, 4)),
-            (Sublattice.rectangular(1, 2), SearchBox(0, 4, 0, 4)),
-            # non-rectangular: x2 = x1 mod 3, and x1 even with x2 = x1 mod 4
-            (Sublattice.from_matrix(Mat2(1, 0, 1, 3)), None),
-            (Sublattice.from_matrix(Mat2(2, 0, 2, 4)), SearchBox(-1, 4, -1, 4)),
-        ],
-        ids=["2,2", "1,3", "3,3-box", "2,4-box", "4,4-box", "1,2-box", "sheared-1,3", "sheared-2,4"],
-    )
-    def test_matches_dfs(self, lattice, box):
-        box = box or default_box(lattice)
+    def test_matches_dfs(self, dfs_box):
+        # max, count and witness; the witness is the longest chain, the
+        # lexicographically smallest on ties
+        lattice, box, chains = dfs_box
+        best = min(chains, key=lambda c: (-len(c), c), default=None)
         rep = verify_vertex_threshold(lattice, box)
-        assert (rep.max_vertices_found, rep.instances_checked, rep.witness) == _dfs_oracle(lattice, box)
+        assert (rep.max_vertices_found, rep.instances_checked, rep.witness) == (
+            0 if best is None else len(best),
+            len(chains),
+            None if best is None else Polygon(best),
+        )
+
+    def test_enumerate_matches_dfs_order(self, dfs_box):
+        # min_vertices only gates what the DFS yields, so filtering its
+        # stream by length gives the stream for every k
+        lattice, box, chains = dfs_box
+        nu = critical_vertex_count(lattice.delta, lattice.n)
+        for k in range(3, nu + 1):
+            got = [p.vertices for p in enumerate_free_polygons(lattice, box, k)]
+            assert got == [_as_polygon(c) for c in chains if len(c) >= k], k
 
     def test_settles_4_4_on_the_slab_box(self):
         # out of the DFS's reach: the first n = 4 slab-box answer
