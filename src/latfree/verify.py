@@ -296,15 +296,19 @@ def _longest(cand: list, lpts: list, i0: int) -> tuple:
     for k in firsts:
         c, l = memo[(-1, k)]
         count += c
-        if l > best:
+        if c and (l > best or (l == best and tail[k] < tail[b])):
             best, b = l, k
     if b < 0:
         return 0, None, count, len(memo)
-    # rebuild the smallest longest chain: from each state take the first
-    # successor in scan order whose longest completion is one vertex shorter
+    # rebuild the smallest longest chain: from each state take the smallest
+    # successor, as (x1, x2), whose longest completion is one vertex
+    # shorter; scan order is (x2, x1), so its first such successor is not
+    # always the smallest
     chain = [cand[i0], tail[b]]
     for r in range(best - 1, -1, -1):
-        a, b = b, next(k for k in moves(a, b) if memo[(b, k)][1] == r)
+        a, b = b, min(
+            (k for k in moves(a, b) if memo[(b, k)][1] == r), key=tail.__getitem__
+        )
         chain.append(tail[b])
     return len(chain), tuple(chain), count, len(memo)
 

@@ -176,6 +176,12 @@ DFS_BOXES = {
     # non-rectangular: x2 = x1 mod 3, and x1 even with x2 = x1 mod 4
     "sheared-1,3": (Sublattice.from_matrix(Mat2(1, 0, 1, 3)), None),
     "sheared-2,4": (Sublattice.from_matrix(Mat2(2, 0, 2, 4)), SearchBox(-1, 4, -1, 4)),
+    # x1 + x2 = 0 mod 3, and x2 = 3 x1 mod 5: tied witness vertices that
+    # lie on a line of negative slope come in the opposite order in the
+    # (x2, x1) scan, at the first vertex in the first box and at a later
+    # one in the second
+    "neg-1,3-box": (Sublattice.from_matrix(Mat2(1, 0, 2, 3)), SearchBox(0, 2, 0, 3)),
+    "neg-1,5-box": (Sublattice.from_matrix(Mat2(1, 0, 3, 5)), SearchBox(0, 4, 0, 6)),
 }
 
 
