@@ -13,28 +13,16 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional, TextIO
 
-from .core import InvariantError, LatticeError, Sublattice, Vec
-from .polygon import (
-    GeometryError,
-    Polygon,
-    bounding_stats,
-    pick_identity,
-)
-from .reduction import (
-    NotLatticeFreeError,
-    _classify,
-    lattice_diameter,
-    slab_normalize,
-)
+from .core import InvariantError, Sublattice, Vec
+from .polygon import Polygon, bounding_stats, pick_identity
+from .reduction import _classify, lattice_diameter, slab_normalize
 from .slopes import (
     Frame,
     Slope,
-    SlopeError,
     check_profile_ledger,
     check_projection_bound,
     check_sublattice_projection_bound,
     check_width_bound,
-    forms_small_angle,
     frame_splits,
     maximal_slopes,
     slope_profile,
@@ -198,21 +186,23 @@ def _cmd_slopes(args) -> int:
         raise CliError("--origin must be x,y") from exc
     frame = Frame(Vec(x, y), slope.f1, slope.f2)
     lattice = _load_lattice(args.lattice) if args.lattice else None
+    # the sublattice sharpenings apply to a proper sublattice only
+    proper = lattice if lattice is not None and lattice.is_proper() else None
 
     reports = [check_width_bound(slope, lattice=lattice)]
     splits = frame_splits(frame, slope)
     print(f"frame splits:    {splits}")
     if splits:
         prof = slope_profile(frame, slope)
-        print(f"small angle:     {forms_small_angle(frame, slope)}")
+        print(f"small angle:     {prof.alpha >= 1}")
         print(
             f"profile:         k={prof.k} alpha={prof.alpha} t={prof.t} s={prof.s} "
             f"pi1={prof.pi1} pi2={prof.pi2} pihat={prof.pihat}"
         )
         reports.append(check_projection_bound(frame, slope))
-        reports.append(check_profile_ledger(frame, slope, lattice))
-        if lattice is not None and lattice.is_proper():
-            reports.append(check_sublattice_projection_bound(frame, slope, lattice))
+        reports.append(check_profile_ledger(frame, slope, proper))
+        if proper is not None:
+            reports.append(check_sublattice_projection_bound(frame, slope, proper))
     failed = [r for r in reports if not r.ok]
     for rep in reports:
         print(f"check {rep.name}: {'ok' if rep.ok else 'FAIL'}")
@@ -370,10 +360,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (LatticeError, GeometryError, SlopeError, NotLatticeFreeError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # the input errors are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:  # includes ClassificationError

@@ -15,7 +15,10 @@ refusal is sound).  Every such test depends on p and the last edge alone,
 so the completions of a chain are a function of its last edge: a fan DP
 (Dobkin, Edelsbrunner and Overmars, *Searching for empty convex polygons*,
 1990, with "empty" read as "free of lattice points") solves them once per
-start, in at most quadratically many states.
+start, in at most quadratically many states.  Each state's memo entry
+keeps its polygon count, its longest completion and the successors that
+complete to a polygon, so its successors are scanned once, while it is
+solved.
 
 The threshold check (``verify``) reads the count, the largest vertex count
 and one witness off the DP; ``chains_explored`` counts its states.  The
@@ -144,15 +147,15 @@ def _fan_dp(cand: list, lpts: list, i0: int) -> tuple:
 
     ``tail`` is the later candidates in scan order.  The state (a, b) is a
     chain from p whose last edge runs from tail[a] (from p when a is -1)
-    to tail[b].  Returns (tail, firsts, memo, moves):
+    to tail[b].  Returns (tail, firsts, memo):
 
-    - ``firsts``: the b, in scan order, whose first edge (p, tail[b]) is
-      free;
-    - ``memo``: (a, b) -> (count, longest) for every state reachable from
-      them: the number of polygons that complete the chain (the chain
-      itself counts when it closes) and the most vertices any of them
-      adds, -1 when there are none;
-    - ``moves(a, b)``: the successors k of the state, in scan order.
+    - ``memo``: (a, b) -> (count, longest, ks) for every state reachable
+      from a free first edge: the number of polygons that complete the
+      chain (the chain itself counts when it closes), the most vertices
+      any of them adds (-1 when there are none), and the successors k, in
+      scan order, whose state (b, k) completes to a polygon;
+    - ``firsts``: the successors of p itself, the b in scan order whose
+      first edge (p, tail[b]) is free and completes to a polygon.
 
     A lattice point on the boundary blocks.
     """
@@ -187,24 +190,31 @@ def _fan_dp(cand: list, lpts: list, i0: int) -> tuple:
             return True
         return False
 
-    def edge(a: int, b: int) -> tuple:
+    def solve(a: int, b: int) -> tuple:
         sx, sy = (p0x, p0y) if a < 0 else tail[a]
         ux, uy = tail[b]
-        return ux - sx, uy - sy
-
-    def moves(a: int, b: int) -> list:
-        # A strict left turn, no edge back in the upper half-plane of
-        # directions once one has left it, and a free fan triangle.  tail
-        # is in (x2, x1) order, so the k < b are exactly the steps down.
-        # The turn test is skipped for the half-plane misses.
-        ux, uy = tail[b]
-        udx, udy = edge(a, b)
+        udx, udy = ux - sx, uy - sy
+        up = udy > 0 or (udy == 0 and udx > 0)
+        count, longest, ks = 0, -1, []
+        # The chain closes at p after a left turn at tail[b] that keeps
+        # the edge angles rising.  A left turn at p follows: the angles
+        # rise strictly inside [0, 2*pi) from a first edge below pi, and a
+        # closed polygon turns through more than pi, so the last turn is
+        # less than pi.  Leaving it out keeps the first edge out of the
+        # state.
+        cdx, cdy = p0x - ux, p0y - uy
+        if udx * cdy - udy * cdx > 0 and (up or not (cdy > 0 or (cdy == 0 and cdx > 0))):
+            count, longest = 1, 0
+        # A successor takes a strict left turn, no edge back in the upper
+        # half-plane of directions once one has left it, and a free fan
+        # triangle.  tail is in (x2, x1) order, so the k < b are exactly
+        # the steps down.  The turn test is skipped for the half-plane
+        # misses.
         if b not in steps:
             every = [(k, vx - ux, vy - uy) for k, (vx, vy) in enumerate(tail) if k != b]
             steps[b] = (every, every[:b])
         every, below = steps[b]
-        out = []
-        for k, dx, dy in every if (udy > 0 or (udy == 0 and udx > 0)) else below:
+        for k, dx, dy in every if up else below:
             if udx * dy - udy * dx <= 0:
                 continue
             key = b * m + k
@@ -213,45 +223,23 @@ def _fan_dp(cand: list, lpts: list, i0: int) -> tuple:
                 vx, vy = tail[k]
                 ok = free[key] = not tri_blocked(ux, uy, vx, vy)
             if ok:
-                out.append(k)
-        return out
-
-    def solve(a: int, b: int) -> tuple:
-        got = memo.get((a, b))
-        if got is not None:
-            return got
-        udx, udy = edge(a, b)
-        ux, uy = tail[b]
-        count, longest = 0, -1
-        # The chain closes at p after a left turn at tail[b] that keeps
-        # the edge angles rising.  A left turn at p follows: the angles
-        # rise strictly inside [0, 2*pi) from a first edge below pi, and a
-        # closed polygon turns through more than pi, so the last turn is
-        # less than pi.  Leaving it out keeps the first edge out of the
-        # state.
-        cdx, cdy = p0x - ux, p0y - uy
-        if udx * cdy - udy * cdx > 0:
-            hu = 0 if (udy > 0 or (udy == 0 and udx > 0)) else 1
-            hc = 0 if (cdy > 0 or (cdy == 0 and cdx > 0)) else 1
-            if hu <= hc:
-                count, longest = 1, 0
-        for k in moves(a, b):
-            c, l = memo.get((b, k)) or solve(b, k)
-            if c:
-                count += c
-                if l + 1 > longest:
-                    longest = l + 1
-        memo[(a, b)] = got = (count, longest)
+                c, l, _ = memo.get((b, k)) or solve(b, k)
+                if c:
+                    count += c
+                    ks.append(k)
+                    if l + 1 > longest:
+                        longest = l + 1
+        memo[(a, b)] = got = (count, longest, ks)
         return got
 
-    firsts = [b for b, (vx, vy) in enumerate(tail) if not seg_blocked(vx, vy)]
-    for b in firsts:
-        solve(-1, b)
+    firsts = [
+        b for b, (vx, vy) in enumerate(tail) if not seg_blocked(vx, vy) and solve(-1, b)[0]
+    ]
     # solve reaches itself through its closure; unbinding it lets the
     # tables go with the caller's last reference instead of at the next
     # cyclic garbage collection
     del solve
-    return tail, firsts, memo, moves
+    return tail, firsts, memo
 
 
 def enumerate_free_polygons(
@@ -267,67 +255,42 @@ def enumerate_free_polygons(
 
     def walk(a: int, ks: list) -> Iterator[Polygon]:
         # The chain ends at tail[a] (at p when a is -1) and ks are its
-        # successors; this reads the current start's tables.  Only states
+        # live successors; this reads the current start's memo.  Only states
         # with a completion of min_v or more vertices are entered.  Such a
         # chain closes itself once it has three vertices: its polygon keeps
         # some vertices of a free convex polygon in their cyclic order, so
         # it is convex and free too, and it is emitted at min_v vertices.
         for b in ks:
-            c, l = memo[(a, b)]
-            if c and len(chain) + 1 + l >= min_v:
+            _, l, after = memo[(a, b)]
+            if len(chain) + 1 + l >= min_v:
                 chain.append(tail[b])
                 if len(chain) >= min_v:
                     yield Polygon(chain)
-                yield from walk(b, moves(a, b))
+                yield from walk(b, after)
                 chain.pop()
 
     for i0 in range(len(cand)):
-        tail, firsts, memo, moves = _fan_dp(cand, lpts, i0)
+        tail, firsts, memo = _fan_dp(cand, lpts, i0)
         chain = [cand[i0]]
         yield from walk(-1, firsts)
 
 
 def _longest(cand: list, lpts: list, i0: int) -> tuple:
-    """(vertices of the longest polygon, its chain, count, DP states) for
-    the start cand[i0], where the chain is the lexicographically smallest
-    longest one, or (0, None, 0, states) when no polygon starts there."""
-    tail, firsts, memo, moves = _fan_dp(cand, lpts, i0)
-    count, best, a, b = 0, -1, -1, -1
-    for k in firsts:
-        c, l = memo[(-1, k)]
-        count += c
-        if c and (l > best or (l == best and tail[k] < tail[b])):
-            best, b = l, k
-    if b < 0:
-        return 0, None, count, len(memo)
-    # rebuild the smallest longest chain: from each state take the smallest
-    # successor, as (x1, x2), whose longest completion is one vertex
-    # shorter; scan order is (x2, x1), so its first such successor is not
-    # always the smallest
-    chain = [cand[i0], tail[b]]
-    for r in range(best - 1, -1, -1):
-        a, b = b, min(
-            (k for k in moves(a, b) if memo[(b, k)][1] == r), key=tail.__getitem__
-        )
+    """(chain, count, DP states) for the start cand[i0], where the chain is
+    the lexicographically smallest longest polygon, () when no polygon
+    starts there."""
+    tail, firsts, memo = _fan_dp(cand, lpts, i0)
+    count = sum(memo[(-1, b)][0] for b in firsts)
+    # from p and then from each state take, among the successors with the
+    # longest completion, the smallest as (x1, x2); scan order is (x2, x1),
+    # so the first of them is not always the smallest
+    chain = [cand[i0]] if firsts else []
+    a, ks = -1, firsts
+    while ks:
+        b = min(ks, key=lambda k: (-memo[(a, k)][1], tail[k]))
         chain.append(tail[b])
-    return len(chain), tuple(chain), count, len(memo)
-
-
-def _merge(results) -> tuple:
-    """Sum the counts and states of (vertices, chain, count, states)
-    results and keep the longest chain, the smallest one on ties."""
-    best_len = 0
-    best_chain: Optional[tuple] = None
-    found = 0
-    states = 0
-    for blen, bchain, f, s in results:
-        found += f
-        states += s
-        if blen > best_len or (
-            blen == best_len and bchain is not None and (best_chain is None or bchain < best_chain)
-        ):
-            best_len, best_chain = blen, bchain
-    return best_len, best_chain, found, states
+        a, ks = b, memo[(a, b)][2]
+    return tuple(chain), count, len(memo)
 
 
 @dataclass(frozen=True)
@@ -374,13 +337,18 @@ def verify_vertex_threshold(
     nu = critical_vertex_count(lattice.delta, lattice.n)
     start = time.perf_counter()
     cand, lpts = _prepare(lattice, box)
-    best_len, best_chain, found, states = _merge(
-        _longest(cand, lpts, i0) for i0 in range(len(cand))
-    )
-    witness = Polygon(best_chain) if best_chain is not None else None
+    best: tuple = ()  # the longest chain, the smallest one on ties
+    found = states = 0
+    for i0 in range(len(cand)):
+        chain, count, solved = _longest(cand, lpts, i0)
+        found += count
+        states += solved
+        if len(chain) > len(best) or (len(chain) == len(best) and chain < best):
+            best = chain
+    witness = Polygon(best) if best else None
     elapsed = time.perf_counter() - start
     return VerificationReport(
-        lattice, box, best_len, witness, nu, best_len <= nu - 1, found, states, elapsed
+        lattice, box, len(best), witness, nu, len(best) <= nu - 1, found, states, elapsed
     )
 
 

@@ -95,6 +95,16 @@ def test_slopes_command(files, capsys):
     assert "check projection_bound: ok" in text
 
 
+def test_slopes_command_with_z2_lattice(files, capsys):
+    # Z^2 is no proper sublattice, so only the plain bounds apply to it
+    tmp, write = files
+    slope = write("slope.json", {"vertices": [[-1, 3], [2, -1]], "basis": [[1, 0], [0, 1]]})
+    lattice = write("z2.json", {"delta": 1, "n": 1})
+    assert run(["slopes", slope, "--origin", "0,0", "--lattice", lattice]) == 0
+    checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("check ")]
+    assert len(checks) == 3 and all(line.endswith(": ok") for line in checks)
+
+
 def test_check_bounds_quad(files, capsys):
     tmp, write = files
     poly = write("quad.json", {"vertices": [[1, -1], [4, 1], [2, 4], [-1, 2]]})

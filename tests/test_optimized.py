@@ -23,6 +23,24 @@ def test_no_assert_statements_in_library():
         assert not lines, f"{path.name} has assert statements on lines {lines}"
 
 
+def test_no_unused_imports_in_library():
+    # __init__.py imports to re-export, so it is left out
+    for path in sorted((SRC / "latfree").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(imported - used)
+        assert not unused, f"{path.name} imports {unused} but never uses them"
+
+
 def _cli(flags: list[str], args: list[str]) -> tuple[int, str]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
