@@ -19,9 +19,9 @@ from .reduction import _classify, lattice_diameter, slab_normalize
 from .slopes import (
     Frame,
     Slope,
-    check_profile_ledger,
-    check_projection_bound,
-    check_sublattice_projection_bound,
+    _profile_ledger,
+    _projection_bound,
+    _sublattice_projection_bound,
     check_width_bound,
     frame_splits,
     maximal_slopes,
@@ -199,10 +199,11 @@ def _cmd_slopes(args) -> int:
             f"profile:         k={prof.k} alpha={prof.alpha} t={prof.t} s={prof.s} "
             f"pi1={prof.pi1} pi2={prof.pi2} pihat={prof.pihat}"
         )
-        reports.append(check_projection_bound(frame, slope))
-        reports.append(check_profile_ledger(frame, slope, proper))
+        # check_width_bound has already required the slope in the lattice
+        reports.append(_projection_bound(frame, slope, prof))
+        reports.append(_profile_ledger(frame, slope, proper, prof))
         if proper is not None:
-            reports.append(check_sublattice_projection_bound(frame, slope, proper))
+            reports.append(_sublattice_projection_bound(frame, slope, proper, prof))
     failed = [r for r in reports if not r.ok]
     for rep in reports:
         print(f"check {rep.name}: {'ok' if rep.ok else 'FAIL'}")

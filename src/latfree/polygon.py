@@ -1,11 +1,12 @@
 """Exact convex lattice-polygon geometry.
 
 Polygons are closed regions: boundary points count as contained.  All
-predicates are computed in integer arithmetic, never floats: lattice rows
-are clipped by integer floor and ceiling division, and a chord's rational
-end parameters stay numerator/denominator pairs compared by
-cross-multiplication.  Only :func:`chord_interval` hands them out as
-``Fraction``.
+predicates are computed in integer arithmetic, never floats: the
+:class:`Polygon` constructor checks convexity and winding in one pass over
+the vertex coordinates, lattice rows are clipped by integer floor and
+ceiling division, and a chord's rational end parameters stay
+numerator/denominator pairs compared by cross-multiplication.  Only
+:func:`chord_interval` hands them out as ``Fraction``.
 """
 
 from __future__ import annotations
@@ -58,22 +59,15 @@ class Line:
         return (c > 0) - (c < 0)
 
 
-def _half(v: Vec) -> int:
-    # 0 for directions with angle in [0, pi), 1 for [pi, 2*pi)
-    return 0 if (v.x2 > 0 or (v.x2 == 0 and v.x1 > 0)) else 1
-
-
-def _angle_less(a: Vec, b: Vec) -> bool:
-    ha, hb = _half(a), _half(b)
-    if ha != hb:
-        return ha < hb
-    return a.cross(b) > 0
-
-
 class Polygon:
     """A strictly convex lattice polygon, stored counter-clockwise.
 
-    The vertex tuple is rotated so it starts at the lexicographically
+    The constructor checks its input in one pass over plain integers:
+    at least 3 vertices, a strict left turn at every vertex (the cross
+    product of the edges into and out of it is positive), and a cycle
+    that winds once, i.e. the edge direction passes exactly once from the
+    lower half-plane ``[pi, 2*pi)`` to the upper one ``[0, pi)``.  The
+    vertex tuple is rotated so it starts at the lexicographically
     smallest vertex, which makes equality and serialisation canonical.
     """
 
@@ -83,16 +77,20 @@ class Polygon:
         verts = tuple(Vec(int(v[0]), int(v[1])) for v in vertices)
         if len(verts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
-        m = len(verts)
-        edges = [verts[(i + 1) % m] - verts[i] for i in range(m)]
-        descents = 0
-        for i in range(m):
-            e, f = edges[i], edges[(i + 1) % m]
-            if e.cross(f) <= 0:
+        # the turns at verts[-1], verts[0], ..., verts[-2]: (ex, ey) is the
+        # edge into the vertex (bx, by), (fx, fy) the edge out of it
+        (ax, ay), (bx, by) = verts[-2], verts[-1]
+        ex, ey = bx - ax, by - ay
+        wraps = 0
+        for cx, cy in verts:
+            fx, fy = cx - bx, cy - by
+            if ex * fy - ey * fx <= 0:
                 raise GeometryError("vertices are not strictly convex counter-clockwise")
-            if not _angle_less(e, f):
-                descents += 1
-        if descents != 1:
+            # the direction passes from [pi, 2*pi) to [0, pi)
+            if (ey < 0 or (ey == 0 and ex < 0)) and (fy > 0 or (fy == 0 and fx > 0)):
+                wraps += 1
+            bx, by, ex, ey = cx, cy, fx, fy
+        if wraps != 1:
             raise GeometryError("vertex cycle winds more than once")
         start = verts.index(min(verts))
         self.vertices = verts[start:] + verts[:start]
@@ -324,9 +322,10 @@ def ray_splits(poly: Polygon, origin: Vec, direction: Vec) -> bool:
 
 def apply_affine(poly: Polygon, m: AffineMap) -> Polygon:
     """Map the polygon by a unimodular affine map, renormalising orientation."""
-    if not m.linear.is_unimodular():
+    det = m.linear.det()
+    if det not in (1, -1):
         raise GeometryError("affine map must have a unimodular linear part")
     verts = [m(v) for v in poly.vertices]
-    if m.linear.det() < 0:
+    if det < 0:
         verts.reverse()
     return Polygon(verts)

@@ -455,6 +455,16 @@ def check_profile_ledger(
     sublattice.
     """
     prof = slope_profile(frame, slope)
+    if lattice is not None:
+        if not lattice.is_proper():
+            raise ValueError("lattice must be a proper sublattice of Z^2")
+        _require_in_lattice(slope, lattice)
+    return _profile_ledger(frame, slope, lattice, prof)
+
+
+def _profile_ledger(
+    frame: Frame, slope: Slope, lattice: Optional[Sublattice], prof: SlopeProfile
+) -> CheckReport:
     coords = prof.coords
     edges = [coords[i] - coords[i - 1] for i in range(1, len(coords))]
     k, t, s = prof.k, prof.t, prof.s
@@ -482,12 +492,8 @@ def check_profile_ledger(
     if prof.alpha >= 1:
         if not 2 * prof.pihat_tail >= coords[k].x2 - coords[-1].x2 - 1:
             failures.append("tail_bound")
-    if lattice is not None:
-        if not lattice.is_proper():
-            raise ValueError("lattice must be a proper sublattice of Z^2")
-        _require_in_lattice(slope, lattice)
-        if not prof.pihat >= 1:
-            failures.append("pihat_positive")
+    if lattice is not None and not prof.pihat >= 1:
+        failures.append("pihat_positive")
     return _finish(
         "profile_ledger", details, failures,
         {"slope": slope.to_obj(), "origin": list(frame.origin)},

@@ -105,6 +105,27 @@ def test_slopes_command_with_z2_lattice(files, capsys):
     assert len(checks) == 3 and all(line.endswith(": ok") for line in checks)
 
 
+@pytest.mark.parametrize(
+    "slope_obj, lattice_obj, n_checks",
+    [
+        ({"vertices": [[-1, 3], [2, -1]], "basis": [[1, 0], [0, 1]]}, {"delta": 1, "n": 1}, 3),
+        ({"vertices": [[-2, 4], [2, -2]], "basis": [[1, 0], [0, 1]]}, {"delta": 2, "n": 2}, 4),
+    ],
+    ids=["z2", "proper"],
+)
+def test_slopes_command_builds_profile_once(
+    files, capsys, monkeypatch, slope_obj, lattice_obj, n_checks
+):
+    tmp, write = files
+    slope = write("slope.json", slope_obj)
+    lattice = write("lattice.json", lattice_obj)
+    calls = count_calls(monkeypatch, "slope_profile")
+    assert run(["slopes", slope, "--origin", "0,0", "--lattice", lattice]) == 0
+    checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("check ")]
+    assert len(checks) == n_checks and all(line.endswith(": ok") for line in checks)
+    assert len(calls) == 1
+
+
 def test_check_bounds_quad(files, capsys):
     tmp, write = files
     poly = write("quad.json", {"vertices": [[1, -1], [4, 1], [2, 4], [-1, 2]]})

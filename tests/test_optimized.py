@@ -41,6 +41,27 @@ def test_no_unused_imports_in_library():
         assert not unused, f"{path.name} imports {unused} but never uses them"
 
 
+def test_no_unused_private_definitions_in_library():
+    # a module-level _name function or class must be referenced somewhere in
+    # the package, as a name or an attribute; its own definition does not count
+    defined, used = [], set()
+    for path in sorted((SRC / "latfree").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [
+            (path.name, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = [f"{module}:{name}" for module, name in defined if name not in used]
+    assert not dead, f"private definitions never referenced in latfree: {dead}"
+
+
 def _cli(flags: list[str], args: list[str]) -> tuple[int, str]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

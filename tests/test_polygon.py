@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -58,6 +59,75 @@ class TestPolygonConstruction:
         pts = [Vec(0, 0), Vec(4, 6), Vec(8, 0), Vec(0, 4), Vec(8, 4)]
         with pytest.raises(GeometryError):
             Polygon(pts)
+
+
+def _half(v):
+    # 0 for directions with angle in [0, pi), 1 for [pi, 2*pi)
+    return 0 if (v.x2 > 0 or (v.x2 == 0 and v.x1 > 0)) else 1
+
+
+def _angle_less(a, b):
+    ha, hb = _half(a), _half(b)
+    if ha != hb:
+        return ha < hb
+    return a.cross(b) > 0
+
+
+def reference_vertices(vertices):
+    """The constructor's former algorithm: ``Vec`` edges, and a cycle winds
+    once when exactly one turn does not advance in angle order."""
+    verts = tuple(Vec(int(v[0]), int(v[1])) for v in vertices)
+    if len(verts) < 3:
+        raise GeometryError("polygon needs at least 3 vertices")
+    m = len(verts)
+    edges = [verts[(i + 1) % m] - verts[i] for i in range(m)]
+    descents = 0
+    for i in range(m):
+        e, f = edges[i], edges[(i + 1) % m]
+        if e.cross(f) <= 0:
+            raise GeometryError("vertices are not strictly convex counter-clockwise")
+        if not _angle_less(e, f):
+            descents += 1
+    if descents != 1:
+        raise GeometryError("vertex cycle winds more than once")
+    start = verts.index(min(verts))
+    return verts[start:] + verts[:start]
+
+
+def _outcome(build, pts):
+    try:
+        return build(pts)
+    except GeometryError as exc:
+        return str(exc)
+
+
+# duplicates and collinear triples are common on a 5 x 5 grid
+grid_cycles = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=10)
+
+
+@st.composite
+def circle_cycles(draw):
+    """Rounded points on a circle, about evenly spaced in angle over 1-3
+    turns, in either orientation and from any start."""
+    winds = draw(st.integers(1, 3))
+    k = draw(st.integers(3, 12))
+    step = 360 * winds / k
+    jitter = st.floats(-step / 4, step / 4)
+    radius = draw(st.integers(2, 30))
+    angles = [math.radians(i * step + draw(jitter)) for i in range(k)]
+    pts = [(round(radius * math.cos(a)), round(radius * math.sin(a))) for a in angles]
+    if draw(st.booleans()):
+        pts.reverse()
+    start = draw(st.integers(0, len(pts) - 1))
+    return pts[start:] + pts[:start]
+
+
+class TestConstructorOracle:
+    @given(st.one_of(grid_cycles, circle_cycles()))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_angle_order_reference(self, pts):
+        want = _outcome(reference_vertices, pts)
+        assert _outcome(lambda p: Polygon(p).vertices, pts) == want
 
 
 class TestConvexHull:
