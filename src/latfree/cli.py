@@ -19,9 +19,9 @@ from .reduction import _classify, lattice_diameter, slab_normalize
 from .slopes import (
     Frame,
     Slope,
-    _profile_ledger,
-    _projection_bound,
-    _sublattice_projection_bound,
+    check_profile_ledger,
+    check_projection_bound,
+    check_sublattice_projection_bound,
     check_width_bound,
     frame_splits,
     maximal_slopes,
@@ -127,8 +127,8 @@ def _cmd_analyze(args) -> int:
     poly = _load_polygon(args.polygon)
     pick = pick_identity(poly)
     diameter = lattice_diameter(poly)
-    stats = bounding_stats(poly)
     ms = maximal_slopes(poly)
+    stats = ms.stats
     print(f"vertices:        {len(poly)}")
     print(f"area2:           {poly.area2()}")
     print(f"pick:            interior={pick.interior} boundary={pick.boundary} holds={pick.holds}")
@@ -194,16 +194,15 @@ def _cmd_slopes(args) -> int:
     print(f"frame splits:    {splits}")
     if splits:
         prof = slope_profile(frame, slope)
-        print(f"small angle:     {prof.alpha >= 1}")
+        print(f"small angle:     {prof.small_angle}")
         print(
             f"profile:         k={prof.k} alpha={prof.alpha} t={prof.t} s={prof.s} "
             f"pi1={prof.pi1} pi2={prof.pi2} pihat={prof.pihat}"
         )
-        # check_width_bound has already required the slope in the lattice
-        reports.append(_projection_bound(frame, slope, prof))
-        reports.append(_profile_ledger(frame, slope, proper, prof))
+        reports.append(check_projection_bound(prof))
+        reports.append(check_profile_ledger(prof, proper))
         if proper is not None:
-            reports.append(_sublattice_projection_bound(frame, slope, proper, prof))
+            reports.append(check_sublattice_projection_bound(prof, proper))
     failed = [r for r in reports if not r.ok]
     for rep in reports:
         print(f"check {rep.name}: {'ok' if rep.ok else 'FAIL'}")

@@ -325,7 +325,8 @@ def apply_affine(poly: Polygon, m: AffineMap) -> Polygon:
     det = m.linear.det()
     if det not in (1, -1):
         raise GeometryError("affine map must have a unimodular linear part")
-    verts = [m(v) for v in poly.vertices]
+    (a, b, c, d), (tx, ty) = m.linear, m.translation
+    verts = [(a * x + b * y + tx, c * x + d * y + ty) for x, y in poly.vertices]
     if det < 0:
         verts.reverse()
     return Polygon(verts)

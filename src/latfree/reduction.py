@@ -222,6 +222,8 @@ def satisfies_type(poly: Polygon, tag: TypeTag) -> bool:
     """Re-verify the defining split/containment clause of a type tag."""
     n = tag.n
     s = bounding_stats(poly)
+    if tag.kind == "I":
+        return _in_axis_slab(s.west, s.east, n) or _in_axis_slab(s.south, s.north, n)
 
     def seg(a: tuple[int, int], b: tuple[int, int]) -> bool:
         return segment_splits(poly, Segment(Vec(*a), Vec(*b)))
@@ -231,8 +233,6 @@ def satisfies_type(poly: Polygon, tag: TypeTag) -> bool:
     bottom_mid = seg((0, 0), (n, 0))
     top_mid = seg((0, n), (n, n))
 
-    if tag.kind == "I":
-        return _in_axis_slab(s.west, s.east, n) or _in_axis_slab(s.south, s.north, n)
     if tag.kind == "II":
         return bottom_mid and right and top_mid and left
     if tag.kind == "III":

@@ -8,6 +8,11 @@ edges; splitting frames turn geometric constraints on a slope into
 inequalities between its edge count and its endpoint coordinates.  Each
 inequality here is packaged as a check that either passes or produces a
 structured counterexample.
+
+A check takes the object it reads: build a slope's profile in a frame
+(:func:`slope_profile`) or a polygon's maximal slopes
+(:func:`maximal_slopes`) once, then pass it to each check.  Both objects
+keep their inputs, so a check needs nothing else but a lattice.
 """
 
 from __future__ import annotations
@@ -109,7 +114,10 @@ class MaximalSlopes:
 
     q4 runs counter-clockwise from the west-bottom corner to the south-left
     corner in basis (e1, e2); q1, q2, q3 continue around in the rotated
-    bases.  m1..m4 flag nondegenerate bottom/right/top/left faces.
+    bases.  m1..m4 flag nondegenerate bottom/right/top/left faces.  The
+    polygon and its bounding stats are kept, so build this once with
+    :func:`maximal_slopes` and pass it to :func:`frame_splits_maximal` and
+    :func:`check_step_bounds`.
     """
 
     q1: Slope
@@ -120,6 +128,8 @@ class MaximalSlopes:
     m2: int
     m3: int
     m4: int
+    polygon: Polygon = field(repr=False)
+    stats: BoundingStats = field(repr=False)
 
     @property
     def edge_counts(self) -> tuple[int, int, int, int]:
@@ -154,6 +164,8 @@ def maximal_slopes(poly: Polygon) -> MaximalSlopes:
         int(s.east_minus != s.east_plus),
         int(s.north_minus != s.north_plus),
         int(s.west_minus != s.west_plus),
+        poly,
+        s,
     )
 
 
@@ -224,6 +236,9 @@ class SlopeProfile:
     pi1/pi2: total positive-part projections onto the two frame axes;
         pihat = pi1 + pi2 - 2 * edges, split into the head (edges up to k)
         and the tail (edges after k).
+
+    The frame and the slope are kept, so build this once with
+    :func:`slope_profile` and pass it to each projection check.
     """
 
     k: int
@@ -238,10 +253,17 @@ class SlopeProfile:
     pihat_head: int
     pihat_tail: int
     coords: tuple[Vec, ...] = field(repr=False)
+    frame: Frame = field(repr=False)
+    slope: Slope = field(repr=False)
 
     @property
     def n_edges(self) -> int:
         return len(self.coords) - 1
+
+    @property
+    def small_angle(self) -> bool:
+        """True iff the crossing edge's direction ratio is at least one."""
+        return self.alpha >= 1
 
 
 def slope_profile(frame: Frame, slope: Slope) -> SlopeProfile:
@@ -283,13 +305,8 @@ def slope_profile(frame: Frame, slope: Slope) -> SlopeProfile:
         raise InvariantError("projection sums disagree with their head/tail split")
     return SlopeProfile(
         k, alpha, t, len(s_edges), s_edges, delta_flag, pi1, pi2, pihat,
-        pihat_head, pihat_tail, tuple(coords),
+        pihat_head, pihat_tail, tuple(coords), frame, slope,
     )
-
-
-def forms_small_angle(frame: Frame, slope: Slope) -> bool:
-    """True iff the crossing edge's direction ratio is at least one."""
-    return slope_profile(frame, slope).alpha >= 1
 
 
 # --- checks -----------------------------------------------------------------
@@ -302,23 +319,33 @@ class CheckReport:
     details: dict
     counterexample: Optional[dict] = None
 
+    @classmethod
+    def from_failures(
+        cls, name: str, details: dict, failures: list[str], context: dict
+    ) -> "CheckReport":
+        """Pass when no clause failed; otherwise the counterexample holds the
+        context, the failed clauses and the details."""
+        if not failures:
+            return cls(name, True, details)
+        return cls(
+            name, False, details, counterexample={**context, "failed": failures, **details}
+        )
+
     def to_obj(self):
         if self.ok:
             return "ok"
         return {"counterexample": self.counterexample}
 
 
-def _finish(name: str, details: dict, failures: list[str], context: dict) -> CheckReport:
-    if not failures:
-        return CheckReport(name, True, details)
-    return CheckReport(
-        name, False, details, counterexample={**context, "failed": failures, **details}
-    )
-
-
 def _require_in_lattice(slope: Slope, lattice: Sublattice) -> None:
     if not all(lattice.contains(v) for v in slope.vertices):
         raise ValueError("slope vertices must belong to the given lattice")
+
+
+def _require_in_proper(slope: Slope, lattice: Sublattice) -> None:
+    if not lattice.is_proper():
+        raise ValueError("lattice must be a proper sublattice of Z^2")
+    _require_in_lattice(slope, lattice)
 
 
 def check_width_bound(
@@ -368,7 +395,7 @@ def check_width_bound(
         details["skew"] = [a, m]
         if not 2 * abs(b.x2) >= (2 * a + (s - 1) * m) * s:
             failures.append("height_skew")
-    return _finish("width_bound", details, failures, {"slope": slope.to_obj()})
+    return CheckReport.from_failures("width_bound", details, failures, {"slope": slope.to_obj()})
 
 
 def _ceil_half(x: int) -> int:
@@ -376,21 +403,21 @@ def _ceil_half(x: int) -> int:
     return (x + 1) // 2
 
 
-def check_projection_bound(frame: Frame, slope: Slope) -> CheckReport:
+def _context(prof: SlopeProfile) -> dict:
+    return {"slope": prof.slope.to_obj(), "origin": list(prof.frame.origin)}
+
+
+def check_projection_bound(prof: SlopeProfile) -> CheckReport:
     """Doubled edge count against the positive-part projections.
 
     Exhibits witnesses (s, t): the profile values when the frame forms a
     small angle, (0, 0) otherwise.  Always asserts 2N <= v2 + w1; in the
     small-angle case additionally 2N <= v2 + w1 - t + s - ceil(-w2/2) + 1.
     """
-    return _projection_bound(frame, slope, slope_profile(frame, slope))
-
-
-def _projection_bound(frame: Frame, slope: Slope, prof: SlopeProfile) -> CheckReport:
     coords = prof.coords
     v, w = coords[0], coords[-1]
     n_edges = prof.n_edges
-    small = prof.alpha >= 1
+    small = prof.small_angle
     s, t = (prof.s, prof.t) if small else (0, 0)
     details = {
         "n_edges": n_edges, "v": list(v), "w": list(w),
@@ -413,39 +440,25 @@ def _projection_bound(frame: Frame, slope: Slope, prof: SlopeProfile) -> CheckRe
             failures.append("projection_small_angle")
         if not 2 * n_edges <= v.x2 + w.x1 - _ceil_half(-w.x2) + 1:
             failures.append("projection_small_angle_plain")
-    return _finish(
-        "projection_bound", details, failures,
-        {"slope": slope.to_obj(), "origin": list(frame.origin)},
-    )
+    return CheckReport.from_failures("projection_bound", details, failures, _context(prof))
 
 
-def check_sublattice_projection_bound(
-    frame: Frame, slope: Slope, lattice: Sublattice
-) -> CheckReport:
+def check_sublattice_projection_bound(prof: SlopeProfile, lattice: Sublattice) -> CheckReport:
     """For slopes with vertices in a proper sublattice: 2N <= v2 + w1 - 1."""
-    if not lattice.is_proper():
-        raise ValueError("lattice must be a proper sublattice of Z^2")
-    _require_in_lattice(slope, lattice)
-    return _sublattice_projection_bound(frame, slope, lattice, slope_profile(frame, slope))
-
-
-def _sublattice_projection_bound(
-    frame: Frame, slope: Slope, lattice: Sublattice, prof: SlopeProfile
-) -> CheckReport:
+    _require_in_proper(prof.slope, lattice)
     v, w = prof.coords[0], prof.coords[-1]
     details = {"n_edges": prof.n_edges, "v": list(v), "w": list(w)}
     failures = []
     if not 2 * prof.n_edges <= v.x2 + w.x1 - 1:
         failures.append("projection_sublattice")
-    return _finish(
+    return CheckReport.from_failures(
         "sublattice_projection_bound", details, failures,
-        {"slope": slope.to_obj(), "origin": list(frame.origin),
-         "lattice": lattice.to_obj()},
+        {**_context(prof), "lattice": lattice.to_obj()},
     )
 
 
 def check_profile_ledger(
-    frame: Frame, slope: Slope, lattice: Optional[Sublattice] = None
+    prof: SlopeProfile, lattice: Optional[Sublattice] = None
 ) -> CheckReport:
     """The bookkeeping inequalities behind the projection bounds.
 
@@ -454,17 +467,8 @@ def check_profile_ledger(
     small angle; and pihat >= 1 when the vertices lie in a proper
     sublattice.
     """
-    prof = slope_profile(frame, slope)
     if lattice is not None:
-        if not lattice.is_proper():
-            raise ValueError("lattice must be a proper sublattice of Z^2")
-        _require_in_lattice(slope, lattice)
-    return _profile_ledger(frame, slope, lattice, prof)
-
-
-def _profile_ledger(
-    frame: Frame, slope: Slope, lattice: Optional[Sublattice], prof: SlopeProfile
-) -> CheckReport:
+        _require_in_proper(prof.slope, lattice)
     coords = prof.coords
     edges = [coords[i] - coords[i - 1] for i in range(1, len(coords))]
     k, t, s = prof.k, prof.t, prof.s
@@ -489,15 +493,12 @@ def _profile_ledger(
     details["head_rhs"] = head_rhs
     if not prof.pihat_head >= head_rhs:
         failures.append("head_bound")
-    if prof.alpha >= 1:
+    if prof.small_angle:
         if not 2 * prof.pihat_tail >= coords[k].x2 - coords[-1].x2 - 1:
             failures.append("tail_bound")
     if lattice is not None and not prof.pihat >= 1:
         failures.append("pihat_positive")
-    return _finish(
-        "profile_ledger", details, failures,
-        {"slope": slope.to_obj(), "origin": list(frame.origin)},
-    )
+    return CheckReport.from_failures("profile_ledger", details, failures, _context(prof))
 
 
 # --- frames against whole polygons ------------------------------------------
@@ -510,20 +511,17 @@ _AXIS_FRAME_TO_SLOPE: dict[tuple[Vec, Vec], int] = {
 }
 
 
-def frame_splits_maximal(poly: Polygon, frame: Frame) -> Optional[int]:
-    """Which maximal slope a signed-axis frame splits.
+def frame_splits_maximal(ms: MaximalSlopes, frame: Frame) -> Optional[int]:
+    """Which maximal slope of ``ms.polygon`` a signed-axis frame splits.
 
     Requires the origin outside the polygon and both frame rays to split it
     as chords; returns None when those preconditions fail, else the index k
     in 1..4 with the guarantee that the frame splits the k-th maximal slope.
     """
-    return _frame_splits_maximal(poly, frame, maximal_slopes(poly))
-
-
-def _frame_splits_maximal(poly: Polygon, frame: Frame, ms: MaximalSlopes) -> Optional[int]:
     key = (frame.f1, frame.f2)
     if key not in _AXIS_FRAME_TO_SLOPE:
         raise ValueError("frame basis vectors must be signed standard basis vectors")
+    poly = ms.polygon
     if poly.contains(frame.origin):
         return None
     if not (ray_splits(poly, frame.origin, frame.f1) and ray_splits(poly, frame.origin, frame.f2)):
@@ -534,17 +532,11 @@ def _frame_splits_maximal(poly: Polygon, frame: Frame, ms: MaximalSlopes) -> Opt
     return k
 
 
-def check_step_bounds(poly: Polygon, lattice: Sublattice) -> CheckReport:
+def check_step_bounds(ms: MaximalSlopes, lattice: Sublattice) -> CheckReport:
     """Nondegenerate axis faces of a lattice polygon span at least one large step."""
+    poly, s = ms.polygon, ms.stats
     if not all(lattice.contains(v) for v in poly.vertices):
         raise ValueError("polygon vertices must belong to the lattice")
-    return _step_bounds(poly, lattice, bounding_stats(poly), maximal_slopes(poly))
-
-
-def _step_bounds(
-    poly: Polygon, lattice: Sublattice, s: BoundingStats, ms: MaximalSlopes
-) -> CheckReport:
-    # check_step_bounds for a polygon whose vertices are known to lie in the lattice
     st = steps(lattice, E1, E2)
     gaps = {
         "bottom": (s.south_plus - s.south_minus, st.large_f1 * ms.m1),
@@ -554,7 +546,7 @@ def _step_bounds(
     }
     details = {name: {"gap": g, "bound": b} for name, (g, b) in gaps.items()}
     failures = [name for name, (g, b) in gaps.items() if g < b]
-    return _finish(
+    return CheckReport.from_failures(
         "step_bounds", details, failures,
         {"polygon": poly.to_obj(), "lattice": lattice.to_obj()},
     )

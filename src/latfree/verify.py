@@ -37,16 +37,15 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .core import E1, E2, InvariantError, Sublattice, Vec, steps
-from .polygon import Polygon, bounding_stats, lattice_points_in, polygon_free_of
+from .polygon import Polygon, lattice_points_in, polygon_free_of
 from .reduction import TypeTag, satisfies_type
 from .slopes import (
     CheckReport,
     Frame,
-    _finish,
-    _frame_splits_maximal,
-    _projection_bound,
-    _step_bounds,
-    _sublattice_projection_bound,
+    check_projection_bound,
+    check_step_bounds,
+    check_sublattice_projection_bound,
+    frame_splits_maximal,
     maximal_slopes,
     slope_profile,
 )
@@ -382,7 +381,7 @@ def check_type_vertex_bound(
     bound = 2 * n + 2 - 2 * b
     details = {"n": n, "b": b, "vertices": len(poly), "bound": bound}
     failures = [] if len(poly) <= bound else ["vertex_bound"]
-    return _finish(
+    return CheckReport.from_failures(
         "type_vertex_bound", details, failures,
         {"polygon": poly.to_obj(), "tag": tag.kind},
     )
@@ -393,11 +392,11 @@ def type_ii_bound_pipeline(
 ) -> CheckReport:
     """Replay the inequality chain bounding the vertices of a type II polygon.
 
-    Verifies the four corner frames split the four maximal slopes, bounds
-    each doubled slope edge count by the projection inequalities (with the
-    sublattice sharpening when b >= 1), bounds each axis face by the large
-    steps, and sums the actual instances to 2N <= 4n + 4 - 4b, hence
-    N <= 2n + 2 - 2b.
+    Verifies the four corner frames split the four maximal slopes (the
+    report fails there when one does not), bounds each doubled slope edge
+    count by the projection inequalities (with the sublattice sharpening
+    when b >= 1), bounds each axis face by the large steps, and sums the
+    actual instances to 2N <= 4n + 4 - 4b, hence N <= 2n + 2 - 2b.
     """
     if not satisfies_type(poly, TypeTag("II", n)):
         raise ValueError("polygon is not in type II position")
@@ -415,8 +414,12 @@ def type_ii_bound_pipeline(
     }
     ms = maximal_slopes(poly)
     for k, frame in frames.items():
-        if _frame_splits_maximal(poly, frame, ms) != k:
+        if frame_splits_maximal(ms, frame) != k:
             failures.append(f"corner_frame_{k}")
+    context = {"polygon": poly.to_obj(), "lattice": vertex_lattice.to_obj()}
+    if failures:
+        # every later step reads the four split slopes
+        return CheckReport.from_failures("type_ii_bound_pipeline", details, failures, context)
 
     if b == 2:
         st = steps(vertex_lattice, E1, E2)
@@ -424,7 +427,6 @@ def type_ii_bound_pipeline(
         if st.large_f1 < 2 or st.large_f2 < 2:
             failures.append("large_steps")
 
-    stats = bounding_stats(poly)
     adj = (b * b - 3 * b) // 2  # 0 for b=0, -1 for b in {1, 2}
     sum_bounds = 0
     slope_rows = []
@@ -437,9 +439,9 @@ def type_ii_bound_pipeline(
         if 2 * slope.n_edges > bound:
             failures.append(f"slope_bound_{k}")
         if b == 0:
-            rep = _projection_bound(frame, slope, prof)
+            rep = check_projection_bound(prof)
         else:
-            rep = _sublattice_projection_bound(frame, slope, vertex_lattice, prof)
+            rep = check_sublattice_projection_bound(prof, vertex_lattice)
         if not rep.ok:
             failures.append(f"slope_check_{k}")
         slope_rows.append(
@@ -447,11 +449,12 @@ def type_ii_bound_pipeline(
         )
     details["slopes"] = slope_rows
 
-    step_report = _step_bounds(poly, vertex_lattice, stats, ms)
+    step_report = check_step_bounds(ms, vertex_lattice)
     if not step_report.ok:
         failures.append("step_bounds")
     beta = (b * b - b + 2) // 2  # 1 for b in {0, 1}, 2 for b=2
     m_vals = (ms.m1, ms.m2, ms.m3, ms.m4)
+    stats = ms.stats
     gaps = (
         stats.south_plus - stats.south_minus,
         stats.east_plus - stats.east_minus,
@@ -479,10 +482,7 @@ def type_ii_bound_pipeline(
         failures.append("summed_chain")
     if not n_vertices <= 2 * n + 2 - 2 * b:
         failures.append("vertex_bound")
-    return _finish(
-        "type_ii_bound_pipeline", details, failures,
-        {"polygon": poly.to_obj(), "lattice": vertex_lattice.to_obj()},
-    )
+    return CheckReport.from_failures("type_ii_bound_pipeline", details, failures, context)
 
 
 def check_pentagon_parity(poly: Polygon) -> CheckReport:
@@ -509,7 +509,9 @@ def check_pentagon_parity(poly: Polygon) -> CheckReport:
         details = {"pair": [list(p), list(q)], "segment_points": g + 1}
         if g + 1 < 3:
             failures.append("segment_points")
-    return _finish("pentagon_parity", details, failures, {"polygon": poly.to_obj()})
+    return CheckReport.from_failures(
+        "pentagon_parity", details, failures, {"polygon": poly.to_obj()}
+    )
 
 
 def contains_even_ordinate_point(poly: Polygon) -> bool:

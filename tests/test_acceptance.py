@@ -33,6 +33,7 @@ from latfree.slopes import (
     check_sublattice_projection_bound,
     check_width_bound,
     maximal_slopes,
+    slope_profile,
 )
 from latfree.verify import (
     SearchBox,
@@ -164,9 +165,10 @@ def test_criterion_7_slope_inequality_suite():
             if inst is None:
                 continue
             frame, slope = inst
+            prof = slope_profile(frame, slope)
             reports.append(check_width_bound(slope))
-            reports.append(check_projection_bound(frame, slope))
-            reports.append(check_profile_ledger(frame, slope))
+            reports.append(check_projection_bound(prof))
+            reports.append(check_profile_ledger(prof))
         elif mode < 0.8:
             delta, n = rect_shapes[rng.randrange(len(rect_shapes))]
             f1, f2 = basis_pool[rng.randrange(len(basis_pool))]
@@ -177,10 +179,11 @@ def test_criterion_7_slope_inequality_suite():
             lattice = Sublattice.from_matrix(
                 Mat2.from_columns(f1.scaled(delta), f2.scaled(n))
             )
+            prof = slope_profile(frame, slope)
             reports.append(check_width_bound(slope, lattice=lattice))
-            reports.append(check_projection_bound(frame, slope))
-            reports.append(check_sublattice_projection_bound(frame, slope, lattice))
-            reports.append(check_profile_ledger(frame, slope, lattice))
+            reports.append(check_projection_bound(prof))
+            reports.append(check_sublattice_projection_bound(prof, lattice))
+            reports.append(check_profile_ledger(prof, lattice))
         else:
             m_param = rng.randint(1, 4)
             a_param = rng.randint(1, m_param)
@@ -193,13 +196,14 @@ def test_criterion_7_slope_inequality_suite():
             lattice = Sublattice.from_matrix(
                 Mat2.from_columns(f1 - f2.scaled(a_param), f2.scaled(m_param))
             )
+            prof = slope_profile(frame, slope)
             reports.append(check_width_bound(slope, lattice=lattice, skew=(a_param, m_param)))
-            reports.append(check_projection_bound(frame, slope))
+            reports.append(check_projection_bound(prof))
             if lattice.is_proper():
-                reports.append(check_sublattice_projection_bound(frame, slope, lattice))
-                reports.append(check_profile_ledger(frame, slope, lattice))
+                reports.append(check_sublattice_projection_bound(prof, lattice))
+                reports.append(check_profile_ledger(prof, lattice))
             else:
-                reports.append(check_profile_ledger(frame, slope))
+                reports.append(check_profile_ledger(prof))
         instances += 1
         for rep in reports:
             if not rep.ok:

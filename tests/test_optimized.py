@@ -62,6 +62,20 @@ def test_no_unused_private_definitions_in_library():
     assert not dead, f"private definitions never referenced in latfree: {dead}"
 
 
+def test_no_private_names_imported_from_slopes():
+    # each slope check takes the profile or the maximal slopes it reads, so
+    # no other module needs a private form of it
+    imports = [
+        f"{path.name}:{alias.name}"
+        for path in sorted((SRC / "latfree").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module == "slopes" and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not imports, f"private names imported from latfree.slopes: {imports}"
+
+
 def _cli(flags: list[str], args: list[str]) -> tuple[int, str]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

@@ -244,6 +244,14 @@ def _longest_column_string(poly: Polygon, columns: range) -> int:
     return best
 
 
+def test_type_one_reads_no_splits(monkeypatch):
+    # type I is an axis-slab test on the bounding stats alone
+    calls = count_calls(monkeypatch, "segment_splits")
+    slab = Polygon([Vec(0, 0), Vec(2, 0), Vec(2, 5), Vec(0, 5)])
+    assert satisfies_type(slab, TypeTag("I", 3))
+    assert calls == []
+
+
 def test_case_b_one_one_is_never_normalized():
     # Polygons in case B (1, 1) position: x1 = 0 splits with its chord in
     # (0, n), and the segments [(-n, 0), (0, 0)] and [(-n, n), (0, n)] split.

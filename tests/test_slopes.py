@@ -14,7 +14,6 @@ from latfree.slopes import (
     check_step_bounds,
     check_sublattice_projection_bound,
     check_width_bound,
-    forms_small_angle,
     frame_splits,
     frame_splits_maximal,
     maximal_slopes,
@@ -136,16 +135,16 @@ class TestFrameSplits:
 class TestSmallAngle:
     def test_shallow(self):
         s = validate_slope([Vec(-1, 3), Vec(2, -1)], E1, E2)
-        assert not forms_small_angle(ORIGIN_FRAME, s)
+        assert not slope_profile(ORIGIN_FRAME, s).small_angle
 
     def test_steep(self):
         s = validate_slope([Vec(-1, 2), Vec(3, -1)], E1, E2)
-        assert forms_small_angle(ORIGIN_FRAME, s)
+        assert slope_profile(ORIGIN_FRAME, s).small_angle
 
     def test_requires_splitting(self):
         s = validate_slope([Vec(-1, 1), Vec(1, -1)], E1, E2)
         with pytest.raises(ValueError):
-            forms_small_angle(ORIGIN_FRAME, s)
+            slope_profile(ORIGIN_FRAME, s).small_angle
 
     def test_one_of_pair_forms_small_angle(self):
         # escalate on failure: either the generator or the statement is wrong
@@ -158,7 +157,10 @@ class TestSmallAngle:
             hits += 1
             frame, slope = inst
             swapped = Frame(frame.origin, frame.f2, frame.f1)
-            assert forms_small_angle(frame, slope) or forms_small_angle(swapped, slope)
+            assert (
+                slope_profile(frame, slope).small_angle
+                or slope_profile(swapped, slope).small_angle
+            )
 
     def test_low_crossing_point_forces_small_angle(self):
         rng = random.Random(71)
@@ -171,7 +173,7 @@ class TestSmallAngle:
             prof = slope_profile(frame, slope)
             if any(c.x2 > 0 and c.x1 + c.x2 <= 0 for c in prof.coords):
                 hits += 1
-                assert forms_small_angle(frame, slope)
+                assert slope_profile(frame, slope).small_angle
 
 
 class TestSlopeProfile:
@@ -248,20 +250,20 @@ class TestWidthBound:
 class TestProjectionBound:
     def test_shallow(self):
         s = validate_slope([Vec(-1, 3), Vec(2, -1)], E1, E2)
-        rep = check_projection_bound(ORIGIN_FRAME, s)
+        rep = check_projection_bound(slope_profile(ORIGIN_FRAME, s))
         assert rep.ok
         assert 2 * 1 <= 3 + 2
 
     def test_small_angle_witnesses(self):
         s = validate_slope([Vec(-1, 2), Vec(3, -1)], E1, E2)
-        rep = check_projection_bound(ORIGIN_FRAME, s)
+        rep = check_projection_bound(slope_profile(ORIGIN_FRAME, s))
         assert rep.ok
         assert rep.details["small_angle"] and (rep.details["s"], rep.details["t"]) == (0, 1)
 
     def test_sublattice_strengthens(self):
         s = validate_slope([Vec(-2, 4), Vec(2, -2)], E1, E2)
         rep = check_sublattice_projection_bound(
-            ORIGIN_FRAME, s, Sublattice.rectangular(2, 2)
+            slope_profile(ORIGIN_FRAME, s), Sublattice.rectangular(2, 2)
         )
         assert rep.ok
         v, w = Vec(-2, 4), Vec(2, -2)
@@ -270,39 +272,41 @@ class TestProjectionBound:
     def test_sublattice_requires_membership(self):
         s = validate_slope([Vec(-1, 3), Vec(2, -1)], E1, E2)
         with pytest.raises(ValueError):
-            check_sublattice_projection_bound(ORIGIN_FRAME, s, Sublattice.rectangular(2, 2))
+            check_sublattice_projection_bound(
+                slope_profile(ORIGIN_FRAME, s), Sublattice.rectangular(2, 2)
+            )
 
     def test_sublattice_requires_proper(self):
         s = validate_slope([Vec(-2, 4), Vec(2, -2)], E1, E2)
         with pytest.raises(ValueError):
-            check_sublattice_projection_bound(ORIGIN_FRAME, s, Sublattice.zsquare())
+            check_sublattice_projection_bound(slope_profile(ORIGIN_FRAME, s), Sublattice.zsquare())
 
 
 class TestProfileLedger:
     def test_shallow(self):
         s = validate_slope([Vec(-1, 3), Vec(2, -1)], E1, E2)
-        assert check_profile_ledger(ORIGIN_FRAME, s).ok
+        assert check_profile_ledger(slope_profile(ORIGIN_FRAME, s)).ok
 
     def test_doubled(self):
         s = validate_slope([Vec(-2, 4), Vec(2, -2)], E1, E2)
-        rep = check_profile_ledger(ORIGIN_FRAME, s, Sublattice.rectangular(2, 2))
+        rep = check_profile_ledger(slope_profile(ORIGIN_FRAME, s), Sublattice.rectangular(2, 2))
         assert rep.ok
         assert rep.details["pihat"] == 4
 
 
 class TestFrameSplitsMaximal:
     def test_quad_bottom_left(self):
-        assert frame_splits_maximal(QUAD, Frame(Vec(0, 0), E1, E2)) == 4
+        assert frame_splits_maximal(maximal_slopes(QUAD), Frame(Vec(0, 0), E1, E2)) == 4
 
     def test_quad_bottom_right(self):
-        assert frame_splits_maximal(QUAD, Frame(Vec(3, 0), -E1, E2)) == 1
+        assert frame_splits_maximal(maximal_slopes(QUAD), Frame(Vec(3, 0), -E1, E2)) == 1
 
     def test_origin_on_boundary(self):
-        assert frame_splits_maximal(SQUARE, Frame(Vec(0, 0), E1, E2)) is None
+        assert frame_splits_maximal(maximal_slopes(SQUARE), Frame(Vec(0, 0), E1, E2)) is None
 
     def test_requires_axis_basis(self):
         with pytest.raises(ValueError):
-            frame_splits_maximal(QUAD, Frame(Vec(0, 0), Vec(1, 1), E2))
+            frame_splits_maximal(maximal_slopes(QUAD), Frame(Vec(0, 0), Vec(1, 1), E2))
 
     def test_table_on_quad_corners(self):
         n = 3
@@ -313,7 +317,7 @@ class TestFrameSplitsMaximal:
             4: Frame(Vec(0, 0), E1, E2),
         }
         for k, frame in expected.items():
-            assert frame_splits_maximal(QUAD, frame) == k
+            assert frame_splits_maximal(maximal_slopes(QUAD), frame) == k
 
     def test_projection_bound_holds_on_split_maximal_slopes(self):
         from conftest import random_convex_polygon
@@ -333,27 +337,27 @@ class TestFrameSplitsMaximal:
                 rng.randint(s.south - 2, s.north + 2),
             )
             frame = Frame(origin, *axis_pairs[rng.randrange(8)])
-            k = frame_splits_maximal(poly, frame)
+            k = frame_splits_maximal(maximal_slopes(poly), frame)
             if k is None:
                 continue
             hits += 1
             slope = maximal_slopes(poly).slope(k)
             assert frame_splits(frame, slope)
-            assert check_projection_bound(frame, slope).ok
+            assert check_projection_bound(slope_profile(frame, slope)).ok
 
 
 class TestStepBounds:
     def test_trivial_lattice(self):
-        assert check_step_bounds(DIAMOND, Sublattice.zsquare()).ok
+        assert check_step_bounds(maximal_slopes(DIAMOND), Sublattice.zsquare()).ok
 
     def test_doubled_square(self):
-        rep = check_step_bounds(SQUARE, Sublattice.rectangular(2, 2))
+        rep = check_step_bounds(maximal_slopes(SQUARE), Sublattice.rectangular(2, 2))
         assert rep.ok
         assert rep.details["bottom"] == {"gap": 2, "bound": 2}
 
     def test_membership_required(self):
         with pytest.raises(ValueError):
-            check_step_bounds(DIAMOND, Sublattice.rectangular(2, 2))
+            check_step_bounds(maximal_slopes(DIAMOND), Sublattice.rectangular(2, 2))
 
     def test_random_lattice_polygons(self):
         rng = random.Random(79)
@@ -371,4 +375,4 @@ class TestStepBounds:
             except DegenerateHullError:
                 continue
             checked += 1
-            assert check_step_bounds(poly, lat).ok
+            assert check_step_bounds(maximal_slopes(poly), lat).ok

@@ -292,9 +292,20 @@ class TestTypeIIPipeline:
     def test_slope_facts_computed_once(self, monkeypatch, poly, n, lattice):
         slopes_calls = count_calls(monkeypatch, "maximal_slopes")
         profile_calls = count_calls(monkeypatch, "slope_profile")
+        stats_calls = count_calls(monkeypatch, "bounding_stats")
         assert type_ii_bound_pipeline(poly, n, lattice).ok
         assert len(slopes_calls) == 1
         assert len(profile_calls) <= 4
+        # one for the type II clause, one for the maximal slopes
+        assert len(stats_calls) <= 2
+
+    def test_failed_corner_frames_end_the_pipeline(self):
+        # type II position, but (3, 0), (3, 3) and (0, 3) lie in the polygon,
+        # so three corner frames split nothing and no slope profile exists
+        poly = Polygon([Vec(-1, 2), Vec(1, -1), Vec(5, 1), Vec(3, 3), Vec(1, 4)])
+        rep = type_ii_bound_pipeline(poly, 3, Sublattice.zsquare())
+        assert not rep.ok
+        assert rep.counterexample["failed"] == ["corner_frame_1", "corner_frame_2", "corner_frame_3"]
 
 
 class TestPentagonParity:
