@@ -17,13 +17,13 @@ from .core import InvariantError, Sublattice, Vec
 from .polygon import Polygon, bounding_stats, pick_identity
 from .reduction import _classify, lattice_diameter, slab_normalize
 from .slopes import (
+    CheckReport,
     Frame,
     Slope,
     check_profile_ledger,
     check_projection_bound,
     check_sublattice_projection_bound,
     check_width_bound,
-    frame_splits,
     maximal_slopes,
     slope_profile,
 )
@@ -178,6 +178,19 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _finish_checks(reports: list[CheckReport], out: Optional[str], obj: dict) -> int:
+    """Print each check's verdict, write ``obj`` to ``out`` and print the
+    failed reports; exit code 2 when a check failed, else 0."""
+    for rep in reports:
+        print(f"check {rep.name}: {'ok' if rep.ok else 'FAIL'}")
+    _write_out(out, obj)
+    failed = {r.name: r.to_obj() for r in reports if not r.ok}
+    if failed:
+        print(json.dumps(failed, indent=2, sort_keys=True))
+        return 2
+    return 0
+
+
 def _cmd_slopes(args) -> int:
     slope = Slope.from_obj(_load_json(args.slope))
     try:
@@ -190,10 +203,9 @@ def _cmd_slopes(args) -> int:
     proper = lattice if lattice is not None and lattice.is_proper() else None
 
     reports = [check_width_bound(slope, lattice=lattice)]
-    splits = frame_splits(frame, slope)
-    print(f"frame splits:    {splits}")
-    if splits:
-        prof = slope_profile(frame, slope)
+    prof = slope_profile(frame, slope)
+    print(f"frame splits:    {prof is not None}")
+    if prof is not None:
         print(f"small angle:     {prof.small_angle}")
         print(
             f"profile:         k={prof.k} alpha={prof.alpha} t={prof.t} s={prof.s} "
@@ -203,14 +215,7 @@ def _cmd_slopes(args) -> int:
         reports.append(check_profile_ledger(prof, proper))
         if proper is not None:
             reports.append(check_sublattice_projection_bound(prof, proper))
-    failed = [r for r in reports if not r.ok]
-    for rep in reports:
-        print(f"check {rep.name}: {'ok' if rep.ok else 'FAIL'}")
-    _write_out(args.out, {r.name: r.to_obj() for r in reports})
-    if failed:
-        print(json.dumps({r.name: r.to_obj() for r in failed}, indent=2, sort_keys=True))
-        return 2
-    return 0
+    return _finish_checks(reports, args.out, {r.name: r.to_obj() for r in reports})
 
 
 def _cmd_check_bounds(args) -> int:
@@ -222,14 +227,8 @@ def _cmd_check_bounds(args) -> int:
     if tag.kind == "II":
         reports.append(type_ii_bound_pipeline(image, args.n, image_lattice))
     print(f"type:            {tag.kind}_{tag.n}")
-    for rep in reports:
-        print(f"check {rep.name}: {'ok' if rep.ok else 'FAIL'}")
-    _write_out(args.out, {"type": tag.kind, "n": tag.n, "checks": {r.name: r.to_obj() for r in reports}})
-    failed = [r for r in reports if not r.ok]
-    if failed:
-        print(json.dumps({r.name: r.to_obj() for r in failed}, indent=2, sort_keys=True))
-        return 2
-    return 0
+    checks = {r.name: r.to_obj() for r in reports}
+    return _finish_checks(reports, args.out, {"type": tag.kind, "n": tag.n, "checks": checks})
 
 
 def _cmd_enumerate(args) -> int:

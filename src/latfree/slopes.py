@@ -13,6 +13,8 @@ A check takes the object it reads: build a slope's profile in a frame
 (:func:`slope_profile`) or a polygon's maximal slopes
 (:func:`maximal_slopes`) once, then pass it to each check.  Both objects
 keep their inputs, so a check needs nothing else but a lattice.
+:func:`slope_profile` is also the split test: it returns None when the
+frame does not split the slope.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ class Frame(NamedTuple):
     f1: Vec
     f2: Vec
 
-    def matrix(self) -> Mat2:
-        return Mat2.from_columns(self.f1, self.f2)
-
 
 @dataclass(frozen=True)
 class Slope:
@@ -56,9 +55,6 @@ class Slope:
     @property
     def n_edges(self) -> int:
         return len(self.vertices) - 1
-
-    def basis_matrix(self) -> Mat2:
-        return Mat2.from_columns(self.f1, self.f2)
 
     def to_obj(self) -> dict:
         return {
@@ -176,48 +172,9 @@ def _frame_coords(frame: Frame, slope: Slope) -> list[Vec]:
     bases = {(slope.f1, slope.f2), (slope.f2, slope.f1)}
     if (frame.f1, frame.f2) not in bases:
         raise ValueError("frame basis must match the slope basis up to a swap")
-    inv = frame.matrix().inverse_unimodular()
+    inv = Mat2.from_columns(frame.f1, frame.f2).inverse_unimodular()
     ox, oy = frame.origin
     return [inv.mul_vec(Vec(x - ox, y - oy)) for x, y in slope.vertices]
-
-
-def _edge_hits_open_quadrant(p: Vec, q: Vec) -> bool:
-    # the parameter interval (lo, hi) within [0, 1] where p + t(q - p) has
-    # both coordinates positive, as fractions num/den with den > 0
-    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
-    for pc, qc in ((p.x1, q.x1), (p.x2, q.x2)):
-        d = qc - pc
-        if d == 0:
-            if pc <= 0:
-                return False
-        elif d > 0:
-            if -pc * lo_den > lo_num * d:
-                lo_num, lo_den = -pc, d
-        elif pc * hi_den < hi_num * -d:
-            hi_num, hi_den = pc, -d
-    return lo_num * hi_den < hi_num * lo_den
-
-
-def frame_splits(frame: Frame, slope: Slope) -> bool:
-    """True iff the slope runs from the frame's second quadrant to its
-    fourth while passing through the open first quadrant."""
-    if slope.n_edges == 0:
-        return False
-    return _coords_split(_frame_coords(frame, slope))
-
-
-def _coords_split(coords: list[Vec]) -> bool:
-    # frame_splits on the frame coordinates of a slope with an edge
-    a, b = coords[0], coords[-1]
-    second_to_fourth = a.x1 < 0 and a.x2 > 0 and b.x1 > 0 and b.x2 < 0
-    fourth_to_second = b.x1 < 0 and b.x2 > 0 and a.x1 > 0 and a.x2 < 0
-    if not (second_to_fourth or fourth_to_second):
-        return False
-    if any(c.x1 > 0 and c.x2 > 0 for c in coords):
-        return True
-    return any(
-        _edge_hits_open_quadrant(coords[i], coords[i + 1]) for i in range(len(coords) - 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -225,7 +182,9 @@ class SlopeProfile:
     """Combinatorial data of a slope relative to a splitting frame.
 
     Everything is expressed in frame coordinates, with the vertex order
-    normalized so the walk starts at the (-,+) endpoint.
+    normalized so the walk starts at the (-,+) endpoint.  A profile exists
+    only for a frame that splits the slope: :func:`slope_profile` returns
+    None otherwise.
 
     k: index of the first vertex strictly below the frame axis.
     alpha: direction ratio a_k1 / -a_k2 of the axis-crossing edge.
@@ -266,19 +225,30 @@ class SlopeProfile:
         return self.alpha >= 1
 
 
-def slope_profile(frame: Frame, slope: Slope) -> SlopeProfile:
+def slope_profile(frame: Frame, slope: Slope) -> Optional[SlopeProfile]:
+    """The slope's profile in the frame, or None when the frame does not
+    split the slope.
+
+    The frame splits the slope when the slope runs from the frame's open
+    second quadrant to its open fourth quadrant through the open first.
+    """
     if slope.n_edges == 0:
-        raise ValueError("frame does not split the slope")
+        return None
     coords = _frame_coords(frame, slope)
-    if not _coords_split(coords):
-        raise ValueError("frame does not split the slope")
     if coords[0].x1 > 0:
         coords.reverse()
-    if not coords[0].x1 < 0 < coords[0].x2:
-        raise InvariantError("a split slope starts in the frame's second quadrant")
+    a, b = coords[0], coords[-1]
+    if not (a.x1 < 0 < a.x2 and b.x2 < 0 < b.x1):
+        return None
     edges = [coords[i] - coords[i - 1] for i in range(1, len(coords))]
-    if not all(a.x1 > 0 > a.x2 for a in edges):
+    if not all(e.x1 > 0 > e.x2 for e in edges):
         raise InvariantError("slope edges point down-right in frame coordinates")
+    # with every edge down-right the walk is monotone, so it meets the open
+    # first quadrant iff it crosses x1 = 0 above the origin
+    j = next(i for i, c in enumerate(coords) if c.x1 > 0)
+    p, q = coords[j - 1], coords[j]
+    if not p.x2 * q.x1 > p.x1 * q.x2:
+        return None
 
     k = next(i for i, c in enumerate(coords) if c.x2 < 0)
     a_k = edges[k - 1]
@@ -363,7 +333,7 @@ def check_width_bound(
     """
     if slope.n_edges < 1:
         raise ValueError("width bound needs at least one edge")
-    inv = slope.basis_matrix().inverse_unimodular()
+    inv = Mat2.from_columns(slope.f1, slope.f2).inverse_unimodular()
     coords = [inv.mul_vec(v) for v in slope.vertices]
     edges = [coords[i] - coords[i - 1] for i in range(1, len(coords))]
     n_edges = len(edges)
@@ -511,12 +481,15 @@ _AXIS_FRAME_TO_SLOPE: dict[tuple[Vec, Vec], int] = {
 }
 
 
-def frame_splits_maximal(ms: MaximalSlopes, frame: Frame) -> Optional[int]:
-    """Which maximal slope of ``ms.polygon`` a signed-axis frame splits.
+def frame_splits_maximal(ms: MaximalSlopes, frame: Frame) -> Optional[SlopeProfile]:
+    """The profile of the maximal slope of ``ms.polygon`` that a signed-axis
+    frame splits.
 
     Requires the origin outside the polygon and both frame rays to split it
-    as chords; returns None when those preconditions fail, else the index k
-    in 1..4 with the guarantee that the frame splits the k-th maximal slope.
+    as chords; returns None when those preconditions fail, else the profile
+    of the k-th maximal slope, the one the frame's axis directions select
+    (``prof.slope is ms.slope(k)``), which the frame is then guaranteed to
+    split.
     """
     key = (frame.f1, frame.f2)
     if key not in _AXIS_FRAME_TO_SLOPE:
@@ -527,9 +500,10 @@ def frame_splits_maximal(ms: MaximalSlopes, frame: Frame) -> Optional[int]:
     if not (ray_splits(poly, frame.origin, frame.f1) and ray_splits(poly, frame.origin, frame.f2)):
         return None
     k = _AXIS_FRAME_TO_SLOPE[key]
-    if not frame_splits(frame, ms.slope(k)):
+    prof = slope_profile(frame, ms.slope(k))
+    if prof is None:
         raise InvariantError(f"frame does not split maximal slope {k}")
-    return k
+    return prof
 
 
 def check_step_bounds(ms: MaximalSlopes, lattice: Sublattice) -> CheckReport:

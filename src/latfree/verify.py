@@ -47,7 +47,6 @@ from .slopes import (
     check_sublattice_projection_bound,
     frame_splits_maximal,
     maximal_slopes,
-    slope_profile,
 )
 
 
@@ -413,9 +412,8 @@ def type_ii_bound_pipeline(
         4: Frame(Vec(0, 0), E1, E2),
     }
     ms = maximal_slopes(poly)
-    for k, frame in frames.items():
-        if frame_splits_maximal(ms, frame) != k:
-            failures.append(f"corner_frame_{k}")
+    profs = {k: frame_splits_maximal(ms, frame) for k, frame in frames.items()}
+    failures.extend(f"corner_frame_{k}" for k, prof in profs.items() if prof is None)
     context = {"polygon": poly.to_obj(), "lattice": vertex_lattice.to_obj()}
     if failures:
         # every later step reads the four split slopes
@@ -430,13 +428,11 @@ def type_ii_bound_pipeline(
     adj = (b * b - 3 * b) // 2  # 0 for b=0, -1 for b in {1, 2}
     sum_bounds = 0
     slope_rows = []
-    for k, frame in frames.items():
-        slope = ms.slope(k)
-        prof = slope_profile(frame, slope)
+    for k, prof in profs.items():
         v, w = prof.coords[0], prof.coords[-1]
         bound = v.x2 + w.x1 + adj
         sum_bounds += bound
-        if 2 * slope.n_edges > bound:
+        if 2 * prof.n_edges > bound:
             failures.append(f"slope_bound_{k}")
         if b == 0:
             rep = check_projection_bound(prof)
@@ -445,7 +441,7 @@ def type_ii_bound_pipeline(
         if not rep.ok:
             failures.append(f"slope_check_{k}")
         slope_rows.append(
-            {"k": k, "edges": slope.n_edges, "bound": bound, "check": rep.name}
+            {"k": k, "edges": prof.n_edges, "bound": bound, "check": rep.name}
         )
     details["slopes"] = slope_rows
 

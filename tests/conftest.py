@@ -12,7 +12,7 @@ import latfree
 from latfree import cli, polygon, reduction, slopes, verify
 from latfree.core import E1, E2, Mat2, Sublattice, Vec
 from latfree.polygon import DegenerateHullError, Polygon, convex_hull
-from latfree.slopes import Frame, Slope, frame_splits, validate_slope
+from latfree.slopes import Frame, Slope, slope_profile, validate_slope
 from latfree.verify import SearchBox, enumerate_free_polygons
 
 CORPUS_BOXES = {2: SearchBox(-1, 3, -1, 3), 3: SearchBox(-2, 5, -1, 4)}
@@ -222,7 +222,7 @@ def random_splitting_instance(
         frame = Frame(origin, f2, f1)
     else:
         frame = Frame(origin, f1, f2)
-    if not frame_splits(frame, slope):
+    if slope_profile(frame, slope) is None:
         return None
     return frame, slope
 

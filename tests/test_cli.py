@@ -120,10 +120,12 @@ def test_slopes_command_builds_profile_once(
     slope = write("slope.json", slope_obj)
     lattice = write("lattice.json", lattice_obj)
     calls = count_calls(monkeypatch, "slope_profile")
+    coords_calls = count_calls(monkeypatch, "_frame_coords")
     assert run(["slopes", slope, "--origin", "0,0", "--lattice", lattice]) == 0
     checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("check ")]
     assert len(checks) == n_checks and all(line.endswith(": ok") for line in checks)
     assert len(calls) == 1
+    assert len(coords_calls) == 1
 
 
 def test_check_bounds_quad(files, capsys):

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latfree.core import E1, E2, Sublattice, Vec
+from latfree.core import E1, E2, Mat2, Sublattice, Vec
 from latfree.polygon import Polygon
 from latfree.slopes import (
     Frame,
@@ -14,7 +16,6 @@ from latfree.slopes import (
     check_step_bounds,
     check_sublattice_projection_bound,
     check_width_bound,
-    frame_splits,
     frame_splits_maximal,
     maximal_slopes,
     slope_profile,
@@ -105,14 +106,14 @@ class TestMaximalSlopes:
 class TestFrameSplits:
     def test_crossing(self):
         s = validate_slope([Vec(-1, 3), Vec(2, -1)], E1, E2)
-        assert frame_splits(ORIGIN_FRAME, s)
+        assert slope_profile(ORIGIN_FRAME, s) is not None
 
     def test_through_origin(self):
         s = validate_slope([Vec(-1, 1), Vec(1, -1)], E1, E2)
-        assert not frame_splits(ORIGIN_FRAME, s)
+        assert slope_profile(ORIGIN_FRAME, s) is None
 
     def test_single_point(self):
-        assert not frame_splits(ORIGIN_FRAME, validate_slope([Vec(0, 0)], E1, E2))
+        assert slope_profile(ORIGIN_FRAME, validate_slope([Vec(0, 0)], E1, E2)) is None
 
     def test_swapped_frame_splits_too(self):
         rng = random.Random(61)
@@ -124,12 +125,104 @@ class TestFrameSplits:
             hits += 1
             frame, slope = inst
             swapped = Frame(frame.origin, frame.f2, frame.f1)
-            assert frame_splits(swapped, slope)
+            assert slope_profile(swapped, slope) is not None
 
     def test_basis_mismatch_rejected(self):
         s = validate_slope([Vec(-1, 3), Vec(2, -1)], E1, E2)
         with pytest.raises(ValueError):
-            frame_splits(Frame(Vec(0, 0), Vec(1, 1), E2), s)
+            slope_profile(Frame(Vec(0, 0), Vec(1, 1), E2), s)
+
+
+def _edge_hits_open_quadrant(p, q):
+    # the parameter interval (lo, hi) within [0, 1] where p + t(q - p) has
+    # both coordinates positive, as fractions num/den with den > 0
+    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
+    for pc, qc in ((p.x1, q.x1), (p.x2, q.x2)):
+        d = qc - pc
+        if d == 0:
+            if pc <= 0:
+                return False
+        elif d > 0:
+            if -pc * lo_den > lo_num * d:
+                lo_num, lo_den = -pc, d
+        elif pc * hi_den < hi_num * -d:
+            hi_num, hi_den = pc, -d
+    return lo_num * hi_den < hi_num * lo_den
+
+
+def reference_splits(frame, slope):
+    """The general split test, kept as the reference for slope_profile:
+    the endpoints lie in the open second and fourth quadrants, and a
+    vertex or an edge meets the open first quadrant, found by clipping
+    each edge against it."""
+    if slope.n_edges == 0:
+        return False
+    inv = Mat2.from_columns(frame.f1, frame.f2).inverse_unimodular()
+    coords = [inv.mul_vec(v - frame.origin) for v in slope.vertices]
+    a, b = coords[0], coords[-1]
+    second_to_fourth = a.x1 < 0 and a.x2 > 0 and b.x1 > 0 and b.x2 < 0
+    fourth_to_second = b.x1 < 0 and b.x2 > 0 and a.x1 > 0 and a.x2 < 0
+    if not (second_to_fourth or fourth_to_second):
+        return False
+    if any(c.x1 > 0 and c.x2 > 0 for c in coords):
+        return True
+    return any(
+        _edge_hits_open_quadrant(coords[i], coords[i + 1]) for i in range(len(coords) - 1)
+    )
+
+
+AXIS_BASES = [(E1, E2), (E2, -E1), (-E1, -E2), (-E2, E1), (E2, E1), (-E1, E2)]
+
+
+@st.composite
+def split_cases(draw):
+    """A slope of 1 to 5 edges in an axis or sheared unimodular basis,
+    and a frame in either order of that basis.  The origin sits on a
+    vertex, on the line through a vertex parallel to one basis vector,
+    1 or 2 below and left of a vertex, strictly inside the slope's box
+    (where the splitting origins are), or anywhere in that box widened
+    by 2."""
+    f1, f2 = draw(st.sampled_from(AXIS_BASES))
+    shear = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        f2 = f2 + f1.scaled(shear)
+    else:
+        f1 = f1 + f2.scaled(shear)
+    edge = st.tuples(st.integers(1, 4), st.integers(-4, -1))
+    drawn = draw(st.lists(edge, min_size=1, max_size=5))
+    by_ratio = {Fraction(a1, -a2): (a1, a2) for a1, a2 in drawn}
+    x, y = draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+    coords = [(x, y)]
+    for a1, a2 in (by_ratio[r] for r in sorted(by_ratio)):
+        x, y = x + a1, y + a2
+        coords.append((x, y))
+    # the walk runs down-right: xs ascend and ys descend
+    xs, ys = [c[0] for c in coords], [c[1] for c in coords]
+    where = draw(st.sampled_from(["inside", "below", "free", "x_line", "y_line", "vertex"]))
+    if where == "vertex":
+        ox, oy = draw(st.sampled_from(coords))
+    elif where == "below":
+        vx, vy = draw(st.sampled_from(coords))
+        ox, oy = vx - draw(st.integers(1, 2)), vy - draw(st.integers(1, 2))
+    elif where == "inside" and xs[-1] - xs[0] > 1 and ys[0] - ys[-1] > 1:
+        ox = draw(st.integers(xs[0] + 1, xs[-1] - 1))
+        oy = draw(st.integers(ys[-1] + 1, ys[0] - 1))
+    else:
+        ox = draw(st.sampled_from(xs) if where == "x_line" else st.integers(xs[0] - 2, xs[-1] + 2))
+        oy = draw(st.sampled_from(ys) if where == "y_line" else st.integers(ys[-1] - 2, ys[0] + 2))
+    basis = Mat2.from_columns(f1, f2)
+    slope = validate_slope([basis.mul_vec(Vec(*c)) for c in coords], f1, f2)
+    origin = basis.mul_vec(Vec(ox, oy))
+    swap = draw(st.booleans())
+    return Frame(origin, f2, f1) if swap else Frame(origin, f1, f2), slope
+
+
+class TestSplitOracle:
+    @given(split_cases())
+    @settings(max_examples=1000, deadline=None)
+    def test_profile_exists_iff_reference_splits(self, case):
+        frame, slope = case
+        assert (slope_profile(frame, slope) is not None) == reference_splits(frame, slope)
 
 
 class TestSmallAngle:
@@ -143,8 +236,7 @@ class TestSmallAngle:
 
     def test_requires_splitting(self):
         s = validate_slope([Vec(-1, 1), Vec(1, -1)], E1, E2)
-        with pytest.raises(ValueError):
-            slope_profile(ORIGIN_FRAME, s).small_angle
+        assert slope_profile(ORIGIN_FRAME, s) is None
 
     def test_one_of_pair_forms_small_angle(self):
         # escalate on failure: either the generator or the statement is wrong
@@ -296,10 +388,12 @@ class TestProfileLedger:
 
 class TestFrameSplitsMaximal:
     def test_quad_bottom_left(self):
-        assert frame_splits_maximal(maximal_slopes(QUAD), Frame(Vec(0, 0), E1, E2)) == 4
+        ms = maximal_slopes(QUAD)
+        assert frame_splits_maximal(ms, Frame(Vec(0, 0), E1, E2)).slope is ms.slope(4)
 
     def test_quad_bottom_right(self):
-        assert frame_splits_maximal(maximal_slopes(QUAD), Frame(Vec(3, 0), -E1, E2)) == 1
+        ms = maximal_slopes(QUAD)
+        assert frame_splits_maximal(ms, Frame(Vec(3, 0), -E1, E2)).slope is ms.slope(1)
 
     def test_origin_on_boundary(self):
         assert frame_splits_maximal(maximal_slopes(SQUARE), Frame(Vec(0, 0), E1, E2)) is None
@@ -316,8 +410,9 @@ class TestFrameSplitsMaximal:
             3: Frame(Vec(0, n), E1, -E2),
             4: Frame(Vec(0, 0), E1, E2),
         }
+        ms = maximal_slopes(QUAD)
         for k, frame in expected.items():
-            assert frame_splits_maximal(maximal_slopes(QUAD), frame) == k
+            assert frame_splits_maximal(ms, frame).slope is ms.slope(k)
 
     def test_projection_bound_holds_on_split_maximal_slopes(self):
         from conftest import random_convex_polygon
@@ -337,13 +432,11 @@ class TestFrameSplitsMaximal:
                 rng.randint(s.south - 2, s.north + 2),
             )
             frame = Frame(origin, *axis_pairs[rng.randrange(8)])
-            k = frame_splits_maximal(maximal_slopes(poly), frame)
-            if k is None:
+            prof = frame_splits_maximal(maximal_slopes(poly), frame)
+            if prof is None:
                 continue
             hits += 1
-            slope = maximal_slopes(poly).slope(k)
-            assert frame_splits(frame, slope)
-            assert check_projection_bound(slope_profile(frame, slope)).ok
+            assert check_projection_bound(prof).ok
 
 
 class TestStepBounds:

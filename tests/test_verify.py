@@ -292,10 +292,12 @@ class TestTypeIIPipeline:
     def test_slope_facts_computed_once(self, monkeypatch, poly, n, lattice):
         slopes_calls = count_calls(monkeypatch, "maximal_slopes")
         profile_calls = count_calls(monkeypatch, "slope_profile")
+        coords_calls = count_calls(monkeypatch, "_frame_coords")
         stats_calls = count_calls(monkeypatch, "bounding_stats")
         assert type_ii_bound_pipeline(poly, n, lattice).ok
         assert len(slopes_calls) == 1
         assert len(profile_calls) <= 4
+        assert len(coords_calls) <= 4
         # one for the type II clause, one for the maximal slopes
         assert len(stats_calls) <= 2
 
