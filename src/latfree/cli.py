@@ -202,7 +202,8 @@ def _cmd_slopes(args) -> int:
     # the sublattice sharpenings apply to a proper sublattice only
     proper = lattice if lattice is not None and lattice.is_proper() else None
 
-    reports = [check_width_bound(slope, lattice=lattice)]
+    # a one-point slope is valid input with no width to bound
+    reports = [check_width_bound(slope, lattice=lattice)] if slope.n_edges >= 1 else []
     prof = slope_profile(frame, slope)
     print(f"frame splits:    {prof is not None}")
     if prof is not None:

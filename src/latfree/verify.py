@@ -15,14 +15,22 @@ refusal is sound).  Every such test depends on p and the last edge alone,
 so the completions of a chain are a function of its last edge: a fan DP
 (Dobkin, Edelsbrunner and Overmars, *Searching for empty convex polygons*,
 1990, with "empty" read as "free of lattice points") solves them once per
-start, in at most quadratically many states.  Each state's memo entry
-keeps its polygon count, its longest completion and the successors that
-complete to a polygon, so its successors are scanned once, while it is
-solved.
+start and edge.
+
+Angles are compared as direction ranks: the primitive directions of the
+box's differences, sorted once per box by exact cross products.  The DP
+runs eagerly, once per start.  It tests each pair of later points for a
+free fan triangle once, with the lattice points sliced by their rank from
+p.  It then solves the free edges in decreasing rank, so the edges that
+may follow an edge, those at its head in a window of ranks above its own,
+are solved before it.  Their counts and longest completions are read from
+per-vertex tables by bisection.
 
 The threshold check (``verify``) reads the count, the largest vertex count
-and one witness off the DP; ``chains_explored`` counts its states.  The
-stream (``enumerate``) walks the DP's memo depth-first and enters only
+and one witness off the DP.  ``chains_explored`` counts the states, the
+last edges, that a chain search from p reaches, edges with no completion
+included; a second pass, in increasing rank, counts them.  The stream
+(``enumerate``) walks the DP's live edges depth-first and enters only
 states with a completion of at least ``min_vertices`` vertices, so every
 state it enters lies on an emitted polygon and its cost follows the
 output.  The plain chain DFS that the DP replaced is kept in the tests as
@@ -33,7 +41,9 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Iterator, NamedTuple, Optional
 
 from .core import E1, E2, InvariantError, Sublattice, Vec, steps
@@ -127,117 +137,241 @@ def construct_extremal(delta: int, n: int) -> Polygon:
 # --- exhaustive enumeration --------------------------------------------------
 
 
-def _prepare(lattice: Sublattice, box: SearchBox) -> tuple[list, list]:
-    cand = []
-    lpts = []
+class _Grid(NamedTuple):
+    """A box's points in (x2, x1) scan order, each also as the integer id
+    x1 * stride + x2, and the direction rank of every nonzero difference
+    of ids: ``rank[off + id(q) - id(p)]``.  Ranks sort the primitive
+    directions of the box's differences by angle on [0, 2*pi); the
+    ``upper`` ranks below ``upper`` are the directions in [0, pi), and the
+    reverse of rank r < upper is r + upper."""
+
+    cand: list  # the candidates (x1, x2), off the lattice
+    ids: list  # their ids
+    lat: list  # the ids of the lattice points
+    lat_before: list  # per candidate, how many lattice points precede it
+    rank: list
+    off: int
+    upper: int
+
+
+def _prepare(lattice: Sublattice, box: SearchBox) -> _Grid:
+    w, h = box.x1_max - box.x1_min, box.x2_max - box.x2_min
+    stride = 2 * h + 1
+    off = w * stride + h
+    # the directions in [0, pi), sorted by exact cross products: a turn
+    # left from a to b puts a first
+    ups = [
+        (dx, dy)
+        for dx in range(-w, w + 1)
+        for dy in range(h + 1)
+        if (dy > 0 or dx > 0) and math.gcd(dx, dy) == 1
+    ]
+    ups.sort(key=cmp_to_key(lambda a, b: a[1] * b[0] - a[0] * b[1]))
+    upper = len(ups)
+    rank = [-1] * (2 * off + 1)
+    for r, (dx, dy) in enumerate(ups):
+        step = dx * stride + dy
+        for k in range(1, max(w, h) + 1):
+            if abs(k * dx) > w or k * dy > h:
+                break
+            rank[off + k * step] = r
+            rank[off - k * step] = r + upper
+    cand, ids, lat, lat_before = [], [], [], []
     for y in range(box.x2_min, box.x2_max + 1):
         for x in range(box.x1_min, box.x1_max + 1):
             if lattice.contains(Vec(x, y)):
-                lpts.append((x, y))
+                lat.append(x * stride + y)
             else:
                 cand.append((x, y))
-    return cand, lpts
+                ids.append(x * stride + y)
+                lat_before.append(len(lat))
+    return _Grid(cand, ids, lat, lat_before, rank, off, upper)
 
 
-def _fan_dp(cand: list, lpts: list, i0: int) -> tuple:
-    """The fan DP for the polygons whose (x2, x1)-lowest vertex is the
+def _fan_edges(grid: _Grid, i0: int) -> tuple:
+    """The free edges for the polygons whose (x2, x1)-lowest vertex is the
     start p = cand[i0].
 
-    ``tail`` is the later candidates in scan order.  The state (a, b) is a
-    chain from p whose last edge runs from tail[a] (from p when a is -1)
-    to tail[b].  Returns (tail, firsts, memo):
-
-    - ``memo``: (a, b) -> (count, longest, ks) for every state reachable
-      from a free first edge: the number of polygons that complete the
-      chain (the chain itself counts when it closes), the most vertices
-      any of them adds (-1 when there are none), and the successors k, in
-      scan order, whose state (b, k) completes to a polygon;
-    - ``firsts``: the successors of p itself, the b in scan order whose
-      first edge (p, tail[b]) is free and completes to a polygon.
-
-    A lattice point on the boundary blocks.
+    The vertices are the later candidates in scan order, tail[k] as k, and
+    p as m = len(tail).  An edge u -> v is free when its fan triangle
+    (p, u, v) holds no lattice point, on its boundary included; when p, u
+    and v lie on one line, when a lattice point lies anywhere on that
+    line.  An edge from p is free when its segment is.  Each unordered
+    pair is tested once, and both its edges are free or neither is.
+    Returns (rp, by_rank): rp[k] is the rank of tail[k] - p, and
+    by_rank[s] = (us, vs) lists the free edges us[i] -> vs[i] of rank s.
     """
-    p0x, p0y = cand[i0]
-    tail = cand[i0 + 1 :]
-    m = len(tail)
-    steps: dict = {}  # b -> (k, tail[k] - tail[b]) for every k != b, and for k < b
-    free: dict = {}  # b * m + k -> the fan triangle (p, tail[b], tail[k]) is free
-    memo: dict = {}
+    rank, off, upper = grid.rank, grid.off, grid.upper
+    pid = grid.ids[i0]
+    tids = grid.ids[i0 + 1 :]
+    m = len(tids)
+    base = off - pid
+    rp = [rank[base + t] for t in tids]
+    # The lattice points in p's upper set, the only ones a fan triangle
+    # can hold, by ray from p.  Ids grow linearly along a ray, so |id - pid|
+    # orders each ray outwards.
+    lat_rays: dict = {}
+    for lid in grid.lat[grid.lat_before[i0] :]:
+        lat_rays.setdefault(rank[base + lid], []).append(lid)
+    nearest = {r: min(abs(lid - pid) for lid in ls) for r, ls in lat_rays.items()}
+    # the lines through p that hold a lattice point, below p included
+    lines = {rank[base + lid] % upper for lid in grid.lat}
+    # A point behind a lattice point on its ray from p lies on no free
+    # edge: every fan triangle at it covers that segment.  The others,
+    # grouped by ray and ordered outwards.
+    rays: dict = {}
+    for k in sorted(range(m), key=lambda k: abs(tids[k] - pid)):
+        if abs(tids[k] - pid) < nearest.get(rp[k], math.inf):
+            rays.setdefault(rp[k], []).append(k)
+    order = sorted(rays)
+    # per ray, the lattice points of rank above the ray before it and up
+    # to its own
+    lat_ranks = sorted(lat_rays)
+    folds, j = [], 0
+    for r in order:
+        fold: list = []
+        while j < len(lat_ranks) and lat_ranks[j] <= r:
+            fold += lat_rays[lat_ranks[j]]
+            j += 1
+        folds.append(fold)
 
-    def seg_blocked(qx: int, qy: int) -> bool:
-        dx, dy = qx - p0x, qy - p0y
-        for lx, ly in lpts:
-            ex, ey = lx - p0x, ly - p0y
-            if dx * ey - dy * ex == 0:
-                dot = ex * dx + ey * dy
-                if 0 <= dot <= dx * dx + dy * dy:
-                    return True
-        return False
+    us: list = [[] for _ in range(2 * upper)]
+    vs: list = [[] for _ in range(2 * upper)]
+    for r in order:
+        for b in rays[r]:
+            us[r].append(m)
+            vs[r].append(b)
+    for gi, r in enumerate(order):
+        ray = rays[r]
+        line_free = r not in lines
+        last = r + upper - 1
+        for i, u in enumerate(ray):
+            b0 = off - tids[u]
+            if line_free:
+                # v beyond u on the ray: u -> v has rank r, v -> u r + upper
+                for v in ray[i + 1 :]:
+                    us[r].append(u)
+                    vs[r].append(v)
+                    us[r + upper].append(v)
+                    vs[r + upper].append(u)
+            # For v on a later ray, the triangle (p, u, v) holds the lattice
+            # points l of rank from p in [r, rank(v - p)] on p's side of uv:
+            # those with rank(l - u) >= rank(v - u).  Both differences point
+            # left of the ray through u, so their ranks lie in [r, r + upper]
+            # and compare as angles.  Walking the later rays in order keeps
+            # t, the largest rank(l - u) over the slice so far; v is free
+            # when rank(v - u) > t, and no v is once t reaches r + upper - 1.
+            t = r
+            for gj in range(gi + 1, len(order)):
+                for lid in folds[gj]:
+                    x = rank[b0 + lid]
+                    if x > t:
+                        t = x
+                if t >= last:
+                    break
+                for v in rays[order[gj]]:
+                    s = rank[b0 + tids[v]]
+                    if s > t:
+                        o = s + upper if s < upper else s - upper
+                        us[s].append(u)
+                        vs[s].append(v)
+                        us[o].append(v)
+                        vs[o].append(u)
+    return rp, list(zip(us, vs))
 
-    def tri_blocked(ux: int, uy: int, vx: int, vy: int) -> bool:
-        ax, ay, bx, by = ux, uy, vx, vy
-        if (ax - p0x) * (by - p0y) - (ay - p0y) * (bx - p0x) < 0:
-            ax, ay, bx, by = vx, vy, ux, uy
-        for lx, ly in lpts:
-            if (ax - p0x) * (ly - p0y) - (ay - p0y) * (lx - p0x) < 0:
-                continue
-            if (bx - ax) * (ly - ay) - (by - ay) * (lx - ax) < 0:
-                continue
-            if (p0x - bx) * (ly - by) - (p0y - by) * (lx - bx) < 0:
-                continue
-            return True
-        return False
 
-    def solve(a: int, b: int) -> tuple:
-        sx, sy = (p0x, p0y) if a < 0 else tail[a]
-        ux, uy = tail[b]
-        udx, udy = ux - sx, uy - sy
-        up = udy > 0 or (udy == 0 and udx > 0)
-        count, longest, ks = 0, -1, []
-        # The chain closes at p after a left turn at tail[b] that keeps
-        # the edge angles rising.  A left turn at p follows: the angles
-        # rise strictly inside [0, 2*pi) from a first edge below pi, and a
-        # closed polygon turns through more than pi, so the last turn is
-        # less than pi.  Leaving it out keeps the first edge out of the
-        # state.
-        cdx, cdy = p0x - ux, p0y - uy
-        if udx * cdy - udy * cdx > 0 and (up or not (cdy > 0 or (cdy == 0 and cdx > 0))):
-            count, longest = 1, 0
-        # A successor takes a strict left turn, no edge back in the upper
-        # half-plane of directions once one has left it, and a free fan
-        # triangle.  tail is in (x2, x1) order, so the k < b are exactly
-        # the steps down.  The turn test is skipped for the half-plane
-        # misses.
-        if b not in steps:
-            every = [(k, vx - ux, vy - uy) for k, (vx, vy) in enumerate(tail) if k != b]
-            steps[b] = (every, every[:b])
-        every, below = steps[b]
-        for k, dx, dy in every if up else below:
-            if udx * dy - udy * dx <= 0:
-                continue
-            key = b * m + k
-            ok = free.get(key)
-            if ok is None:
-                vx, vy = tail[k]
-                ok = free[key] = not tri_blocked(ux, uy, vx, vy)
-            if ok:
-                c, l, _ = memo.get((b, k)) or solve(b, k)
-                if c:
-                    count += c
-                    ks.append(k)
-                    if l + 1 > longest:
-                        longest = l + 1
-        memo[(a, b)] = got = (count, longest, ks)
-        return got
+def _fan_dp(grid: _Grid, i0: int) -> tuple:
+    """The fan DP for the start p = cand[i0], over the free edges of
+    ``_fan_edges``.  Returns (tail, out, count, edges):
 
-    firsts = [
-        b for b, (vx, vy) in enumerate(tail) if not seg_blocked(vx, vy) and solve(-1, b)[0]
-    ]
-    # solve reaches itself through its closure; unbinding it lets the
-    # tables go with the caller's last reference instead of at the next
-    # cyclic garbage collection
-    del solve
-    return tail, firsts, memo
+    - ``out[x]``: the live edges from vertex x (p when x is m), those that
+      complete to a polygon, in decreasing rank, each as (k, longest,
+      lo, hi): its head tail[k], the most vertices a completion adds, and
+      the window out[k][lo:hi] of live edges that may follow it;
+    - ``count``: the number of polygons from p;
+    - ``edges``: ``_fan_edges``'s (rp, by_rank).
+
+    An edge u -> v of rank s continues with the edges from v of rank in
+    (s, s + upper) when s < upper, and in (s, 2 * upper) otherwise.  That
+    is the strict left turn plus no edge back in the upper half-plane once
+    one has left it.  The chain closes at p by the same rule: the closing
+    edge v -> p has rank rp[v] + upper.  A closed chain turns through
+    2*pi, so its last turn, at p, is a left turn too.  Edges are solved
+    in decreasing rank, one equal-rank group at a time, so each window is
+    a suffix of out[v] when it is read.
+    """
+    rp, by_rank = edges = _fan_edges(grid, i0)
+    upper = grid.upper
+    m = len(rp)
+    # per vertex: the negated ranks of out[x], for bisect; prefix sums of
+    # the counts; and a stack of (position, longest) with longest falling,
+    # whose first entry at or after a position is the window's maximum
+    negr: list = [[] for _ in range(m + 1)]
+    cum: list = [[0] for _ in range(m + 1)]
+    spos: list = [[] for _ in range(m + 1)]
+    sval: list = [[] for _ in range(m + 1)]
+    out: list = [[] for _ in range(m + 1)]
+    for s in range(2 * upper - 1, -1, -1):
+        us, vs = by_rank[s]
+        if not us:
+            continue
+        live = []
+        if s < upper:
+            cut = -s - upper
+            for u, v in zip(us, vs):
+                nr = negr[v]
+                lo, hi = bisect_right(nr, cut), len(nr)
+                c = cum[v]
+                count = c[hi] - c[lo] + (rp[v] < s)
+                if count:
+                    longest = sval[v][bisect_left(spos[v], lo)] + 1 if lo < hi else 0
+                    live.append((u, v, count, longest, lo, hi))
+        else:
+            close = s - upper
+            for u, v in zip(us, vs):
+                hi = len(negr[v])
+                count = cum[v][hi] + (rp[v] > close)
+                if count:
+                    live.append((u, v, count, sval[v][0] + 1 if hi else 0, 0, hi))
+        for u, v, count, longest, lo, hi in live:
+            negr[u].append(-s)
+            c = cum[u]
+            c.append(c[-1] + count)
+            sp, sv = spos[u], sval[u]
+            while sv and sv[-1] <= longest:
+                sp.pop()
+                sv.pop()
+            sp.append(len(out[u]))
+            sv.append(longest)
+            out[u].append((v, longest, lo, hi))
+    return grid.cand[i0 + 1 :], out, cum[m][-1], edges
+
+
+def _states(edges: tuple, upper: int) -> int:
+    """How many states (last edges) the chain search from p reaches: the
+    free first edges, then every free edge that may follow a reached one.
+    One pass in increasing rank keeps, per vertex, the largest rank below
+    ``upper`` of a reached edge into it and whether one of rank ``upper``
+    or more has arrived.  Edges that cannot complete to a polygon count
+    too, among them those with p, u and v on one line."""
+    rp, by_rank = edges
+    m = len(rp)
+    top = [-upper] * m + [upper]  # no edge yet, and p reaches its first edges
+    down = [False] * (m + 1)
+    reached = 0
+    for s, (us, vs) in enumerate(by_rank):
+        if not us:
+            continue
+        low = s - upper
+        hit = [v for u, v in zip(us, vs) if top[u] > low or down[u]]
+        reached += len(hit)
+        if s < upper:
+            for v in hit:
+                top[v] = s
+        else:
+            for v in hit:
+                down[v] = True
+    return reached
 
 
 def enumerate_free_polygons(
@@ -249,46 +383,48 @@ def enumerate_free_polygons(
     depth-first over the chain's vertices in scan order, each chain
     before its extensions."""
     min_v = max(3, min_vertices)
-    cand, lpts = _prepare(lattice, box)
+    grid = _prepare(lattice, box)
 
-    def walk(a: int, ks: list) -> Iterator[Polygon]:
-        # The chain ends at tail[a] (at p when a is -1) and ks are its
-        # live successors; this reads the current start's memo.  Only states
-        # with a completion of min_v or more vertices are entered.  Such a
-        # chain closes itself once it has three vertices: its polygon keeps
-        # some vertices of a free convex polygon in their cyclic order, so
-        # it is convex and free too, and it is emitted at min_v vertices.
-        for b in ks:
-            _, l, after = memo[(a, b)]
-            if len(chain) + 1 + l >= min_v:
+    def walk(x: int, lo: int, hi: int) -> Iterator[Polygon]:
+        # The chain ends at vertex x and out[x][lo:hi] are its live
+        # successors, taken in scan order.  Only states with a completion
+        # of min_v or more vertices are entered.  Such a chain closes
+        # itself once it has three vertices: its polygon keeps some
+        # vertices of a free convex polygon in their cyclic order, so it
+        # is convex and free too, and it is emitted at min_v vertices.
+        key = (x, lo, hi)
+        succ = windows.get(key)
+        if succ is None:
+            succ = windows[key] = sorted(out[x][lo:hi])
+        for b, longest, blo, bhi in succ:
+            if len(chain) + 1 + longest >= min_v:
                 chain.append(tail[b])
                 if len(chain) >= min_v:
                     yield Polygon(chain)
-                yield from walk(b, after)
+                yield from walk(b, blo, bhi)
                 chain.pop()
 
-    for i0 in range(len(cand)):
-        tail, firsts, memo = _fan_dp(cand, lpts, i0)
-        chain = [cand[i0]]
-        yield from walk(-1, firsts)
+    for i0 in range(len(grid.cand)):
+        tail, out, _, _ = _fan_dp(grid, i0)
+        windows: dict = {}
+        chain = [grid.cand[i0]]
+        yield from walk(len(tail), 0, len(out[-1]))
 
 
-def _longest(cand: list, lpts: list, i0: int) -> tuple:
+def _longest(grid: _Grid, i0: int) -> tuple:
     """(chain, count, DP states) for the start cand[i0], where the chain is
     the lexicographically smallest longest polygon, () when no polygon
     starts there."""
-    tail, firsts, memo = _fan_dp(cand, lpts, i0)
-    count = sum(memo[(-1, b)][0] for b in firsts)
+    tail, out, count, edges = _fan_dp(grid, i0)
     # from p and then from each state take, among the successors with the
     # longest completion, the smallest as (x1, x2); scan order is (x2, x1),
     # so the first of them is not always the smallest
-    chain = [cand[i0]] if firsts else []
-    a, ks = -1, firsts
-    while ks:
-        b = min(ks, key=lambda k: (-memo[(a, k)][1], tail[k]))
-        chain.append(tail[b])
-        a, ks = b, memo[(a, b)][2]
-    return tuple(chain), count, len(memo)
+    x, lo, hi = len(tail), 0, len(out[-1])
+    chain = [grid.cand[i0]] if hi else []
+    while lo < hi:
+        x, _, lo, hi = min(out[x][lo:hi], key=lambda e: (-e[1], tail[e[0]]))
+        chain.append(tail[x])
+    return tuple(chain), count, _states(edges, grid.upper)
 
 
 @dataclass(frozen=True)
@@ -300,7 +436,7 @@ class VerificationReport:
     nu: int
     consistent: bool
     instances_checked: int
-    chains_explored: int  # fan-DP states solved, summed over the starts
+    chains_explored: int  # fan-DP states a chain search reaches, summed over the starts
     elapsed_seconds: float
 
     def to_obj(self) -> dict:
@@ -334,11 +470,11 @@ def verify_vertex_threshold(
         box = default_box(lattice)
     nu = critical_vertex_count(lattice.delta, lattice.n)
     start = time.perf_counter()
-    cand, lpts = _prepare(lattice, box)
+    grid = _prepare(lattice, box)
     best: tuple = ()  # the longest chain, the smallest one on ties
     found = states = 0
-    for i0 in range(len(cand)):
-        chain, count, solved = _longest(cand, lpts, i0)
+    for i0 in range(len(grid.cand)):
+        chain, count, solved = _longest(grid, i0)
         found += count
         states += solved
         if len(chain) > len(best) or (len(chain) == len(best) and chain < best):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 import pytest
 
@@ -35,23 +35,29 @@ def count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-def dfs_chains(lattice: Sublattice, box: SearchBox) -> Iterator[tuple]:
+def dfs_chains(
+    lattice: Sublattice, box: SearchBox, states: Optional[set] = None
+) -> Iterator[tuple]:
     """The plain chain DFS, kept as an oracle independent of the library's
     fan DP: every convex chain closing into a strictly convex CCW polygon
     with vertices in the box but off the lattice and no lattice point
     inside or on it.  Chains start at the polygon's
     (x2, x1)-lowest vertex p and grow counter-clockwise; a step is pruned
     as soon as the fan triangle it adds covers a lattice point.  The order
-    is the one ``enumerate_free_polygons`` promises."""
+    is the one ``enumerate_free_polygons`` promises.
+
+    ``states`` gains every (p, last edge) the DFS visits, free first edges
+    included, whether or not the chain completes to a polygon: the states
+    that ``chains_explored`` counts."""
     cand, lpts = [], []
     for y in range(box.x2_min, box.x2_max + 1):
         for x in range(box.x1_min, box.x1_max + 1):
             (lpts if lattice.contains(Vec(x, y)) else cand).append((x, y))
     for i0 in range(len(cand)):
-        yield from _dfs_from(cand, lpts, i0)
+        yield from _dfs_from(cand, lpts, i0, set() if states is None else states)
 
 
-def _dfs_from(cand: list, lpts: list, i0: int) -> Iterator[tuple]:
+def _dfs_from(cand: list, lpts: list, i0: int, states: set) -> Iterator[tuple]:
     p0x, p0y = cand[i0]
     tail = cand[i0 + 1 :]
     chain = [(p0x, p0y)]
@@ -95,6 +101,7 @@ def _dfs_from(cand: list, lpts: list, i0: int) -> Iterator[tuple]:
                 continue
             if tri_blocked(ux, uy, vx, vy):
                 continue
+            states.add((chain[0], chain[-1], (vx, vy)))
             chain.append((vx, vy))
             yield from extend(dx, dy, fdx, fdy)
             chain.pop()
@@ -102,6 +109,7 @@ def _dfs_from(cand: list, lpts: list, i0: int) -> Iterator[tuple]:
     for vx, vy in tail:
         if seg_blocked(vx, vy):
             continue
+        states.add((chain[0], chain[0], (vx, vy)))
         dx, dy = vx - p0x, vy - p0y
         chain.append((vx, vy))
         yield from extend(dx, dy, dx, dy)

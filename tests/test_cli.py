@@ -95,6 +95,14 @@ def test_slopes_command(files, capsys):
     assert "check projection_bound: ok" in text
 
 
+def test_slopes_command_on_one_point_slope(files, capsys):
+    # a slope of one vertex is valid: no width check, and no frame splits it
+    tmp, write = files
+    slope = write("slope.json", {"vertices": [[0, 0]], "basis": [[1, 0], [0, 1]]})
+    assert run(["slopes", slope, "--origin", "1,1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["frame splits:    False"]
+
+
 def test_slopes_command_with_z2_lattice(files, capsys):
     # Z^2 is no proper sublattice, so only the plain bounds apply to it
     tmp, write = files

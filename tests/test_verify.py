@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latfree.core import Mat2, Sublattice, Vec
 from latfree.polygon import (
@@ -187,10 +189,13 @@ DFS_BOXES = {
 
 @pytest.fixture(scope="class", params=list(DFS_BOXES.values()), ids=list(DFS_BOXES))
 def dfs_box(request):
-    """(lattice, box, every chain of the DFS oracle)."""
+    """(lattice, box, every chain of the DFS oracle, how many states it
+    visits)."""
     lattice, box = request.param
     box = box or default_box(lattice)
-    return lattice, box, list(dfs_chains(lattice, box))
+    states: set = set()
+    chains = list(dfs_chains(lattice, box, states))
+    return lattice, box, chains, len(states)
 
 
 def _as_polygon(chain: tuple) -> tuple:
@@ -199,27 +204,67 @@ def _as_polygon(chain: tuple) -> tuple:
     return chain[i:] + chain[:i]
 
 
+def _dfs_facts(chains: list, states: int) -> tuple:
+    # max, count, witness and states as the DFS oracle finds them
+    best = min(chains, key=lambda c: (-len(c), c), default=None)
+    witness = None if best is None else Polygon(best)
+    return (0 if best is None else len(best), len(chains), witness, states)
+
+
+def _report_facts(rep) -> tuple:
+    return rep.max_vertices_found, rep.instances_checked, rep.witness, rep.chains_explored
+
+
+def _hnf_lattices(max_n: int) -> list:
+    # every lattice with invariant factors (delta, n), n <= max_n, once: the
+    # Hermite normal forms with columns (a, b) and (0, c), 0 <= b < c
+    found = []
+    for det in range(2, max_n * max_n + 1):
+        for a in range(1, det + 1):
+            if det % a == 0:
+                c = det // a
+                found += [Sublattice.from_matrix(Mat2(a, 0, b, c)) for b in range(c)]
+    return [lat for lat in found if lat.n <= max_n]
+
+
+HNF_LATTICES = _hnf_lattices(4)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A lattice with factors (delta, n), n <= 4, a box of up to 5x5
+    points, and a minimum vertex count for the stream."""
+    lattice = draw(st.sampled_from(HNF_LATTICES))
+    x1, x2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return lattice, SearchBox(x1, x1 + w - 1, x2, x2 + h - 1), draw(st.integers(3, 6))
+
+
 class TestFanDP:
     def test_matches_dfs(self, dfs_box):
-        # max, count and witness; the witness is the longest chain, the
-        # lexicographically smallest on ties
-        lattice, box, chains = dfs_box
-        best = min(chains, key=lambda c: (-len(c), c), default=None)
-        rep = verify_vertex_threshold(lattice, box)
-        assert (rep.max_vertices_found, rep.instances_checked, rep.witness) == (
-            0 if best is None else len(best),
-            len(chains),
-            None if best is None else Polygon(best),
-        )
+        # max, count, witness and states; the witness is the longest
+        # chain, the lexicographically smallest on ties
+        lattice, box, chains, states = dfs_box
+        assert _report_facts(verify_vertex_threshold(lattice, box)) == _dfs_facts(chains, states)
 
     def test_enumerate_matches_dfs_order(self, dfs_box):
         # min_vertices only gates what the DFS yields, so filtering its
         # stream by length gives the stream for every k
-        lattice, box, chains = dfs_box
+        lattice, box, chains, _ = dfs_box
         nu = critical_vertex_count(lattice.delta, lattice.n)
         for k in range(3, nu + 1):
             got = [p.vertices for p in enumerate_free_polygons(lattice, box, k)]
             assert got == [_as_polygon(c) for c in chains if len(c) >= k], k
+
+    @given(oracle_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_lattices_match_dfs(self, case):
+        lattice, box, k = case
+        states: set = set()
+        chains = list(dfs_chains(lattice, box, states))
+        assert _report_facts(verify_vertex_threshold(lattice, box)) == _dfs_facts(chains, len(states))
+        got = [p.vertices for p in enumerate_free_polygons(lattice, box, k)]
+        assert got == [_as_polygon(c) for c in chains if len(c) >= k]
 
     def test_settles_4_4_on_the_slab_box(self):
         # out of the DFS's reach: the first n = 4 slab-box answer
@@ -231,6 +276,17 @@ class TestFanDP:
         assert rep.chains_explored == 184_999  # DP states over the 117 starts
         assert rep.consistent
         assert len(rep.witness) == 10 and polygon_free_of(rep.witness, lattice)
+
+    @pytest.mark.slow
+    def test_settles_5_5_on_the_slab_box(self):
+        lattice = Sublattice.rectangular(5, 5)
+        rep = verify_vertex_threshold(lattice)
+        assert rep.box == SearchBox(-4, 9, -4, 9)
+        assert rep.max_vertices_found == 12 == rep.nu - 1
+        assert rep.instances_checked == 327_816_568
+        assert rep.chains_explored == 844_056  # DP states over the 192 starts
+        assert rep.consistent
+        assert len(rep.witness) == 12 and polygon_free_of(rep.witness, lattice)
 
 
 class TestTypeVertexBound:
