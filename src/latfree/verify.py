@@ -140,10 +140,12 @@ def construct_extremal(delta: int, n: int) -> Polygon:
 class _Grid(NamedTuple):
     """A box's points in (x2, x1) scan order, each also as the integer id
     x1 * stride + x2, and the direction rank of every nonzero difference
-    of ids: ``rank[off + id(q) - id(p)]``.  Ranks sort the primitive
-    directions of the box's differences by angle on [0, 2*pi); the
-    ``upper`` ranks below ``upper`` are the directions in [0, pi), and the
-    reverse of rank r < upper is r + upper."""
+    of ids: ``rank[off + id(q) - id(p)]``.  The stride is more than twice
+    the largest difference in x2, so a difference of ids fixes the
+    difference of points.  Ranks sort the primitive directions of the
+    box's differences by angle on [0, 2*pi): ranks 0 to upper - 1 are the
+    directions in [0, pi), and the reverse of rank r < upper is r + upper.
+    """
 
     cand: list  # the candidates (x1, x2), off the lattice
     ids: list  # their ids
@@ -207,13 +209,14 @@ def _fan_edges(grid: _Grid, i0: int) -> tuple:
     m = len(tids)
     base = off - pid
     rp = [rank[base + t] for t in tids]
-    # The lattice points in p's upper set, the only ones a fan triangle
-    # can hold, by ray from p.  Ids grow linearly along a ray, so |id - pid|
-    # orders each ray outwards.
-    lat_rays: dict = {}
-    for lid in grid.lat[grid.lat_before[i0] :]:
-        lat_rays.setdefault(rank[base + lid], []).append(lid)
-    nearest = {r: min(abs(lid - pid) for lid in ls) for r, ls in lat_rays.items()}
+    # The lattice points in p's upper set are the only ones a fan triangle
+    # can hold.  Ids grow linearly along a ray, so |id - pid| orders each
+    # ray from p outwards.
+    upper_lat = grid.lat[grid.lat_before[i0] :]
+    nearest: dict = {}
+    for lid in upper_lat:
+        r = rank[base + lid]
+        nearest[r] = min(abs(lid - pid), nearest.get(r, math.inf))
     # the lines through p that hold a lattice point, below p included
     lines = {rank[base + lid] % upper for lid in grid.lat}
     # A point behind a lattice point on its ray from p lies on no free
@@ -226,14 +229,11 @@ def _fan_edges(grid: _Grid, i0: int) -> tuple:
     order = sorted(rays)
     # per ray, the lattice points of rank above the ray before it and up
     # to its own
-    lat_ranks = sorted(lat_rays)
-    folds, j = [], 0
-    for r in order:
-        fold: list = []
-        while j < len(lat_ranks) and lat_ranks[j] <= r:
-            fold += lat_rays[lat_ranks[j]]
-            j += 1
-        folds.append(fold)
+    folds: list = [[] for _ in order]
+    for lid in upper_lat:
+        j = bisect_left(order, rank[base + lid])
+        if j < len(order):
+            folds[j].append(lid)
 
     us: list = [[] for _ in range(2 * upper)]
     vs: list = [[] for _ in range(2 * upper)]

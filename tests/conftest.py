@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 import pytest
 
@@ -35,9 +35,7 @@ def count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-def dfs_chains(
-    lattice: Sublattice, box: SearchBox, states: Optional[set] = None
-) -> Iterator[tuple]:
+def dfs_chains(lattice: Sublattice, box: SearchBox, states: set) -> Iterator[tuple]:
     """The plain chain DFS, kept as an oracle independent of the library's
     fan DP: every convex chain closing into a strictly convex CCW polygon
     with vertices in the box but off the lattice and no lattice point
@@ -54,7 +52,7 @@ def dfs_chains(
         for x in range(box.x1_min, box.x1_max + 1):
             (lpts if lattice.contains(Vec(x, y)) else cand).append((x, y))
     for i0 in range(len(cand)):
-        yield from _dfs_from(cand, lpts, i0, set() if states is None else states)
+        yield from _dfs_from(cand, lpts, i0, states)
 
 
 def _dfs_from(cand: list, lpts: list, i0: int, states: set) -> Iterator[tuple]:
