@@ -295,8 +295,9 @@ def _fan_dp(grid: _Grid, i0: int) -> tuple:
     (s, s + upper) when s < upper, and in (s, 2 * upper) otherwise.  That
     is the strict left turn plus no edge back in the upper half-plane once
     one has left it.  The chain closes at p by the same rule: the closing
-    edge v -> p has rank rp[v] + upper.  A closed chain turns through
-    2*pi, so its last turn, at p, is a left turn too.  Edges are solved
+    edge v -> p has rank rp[v] + upper.  The turn at p needs no test: the
+    edge angles rise within [0, 2*pi), so the turn from the closing edge
+    back to the first is positive.  Edges are solved
     in decreasing rank, one equal-rank group at a time, so each window is
     a suffix of out[v] when it is read.
     """
