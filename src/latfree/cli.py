@@ -239,12 +239,14 @@ def _cmd_enumerate(args) -> int:
     # the polygons are kept only for the --out report; stdout is a stream
     found: Optional[list] = [] if args.out else None
     count = 0
+    write = sys.stdout.write
     for poly in enumerate_free_polygons(lattice, box, args.min_vertices):
-        obj = poly.to_obj()
-        print(json.dumps(obj))
+        # json.dumps(poly.to_obj()) plus "\n", built directly: every line
+        # has this shape and the coordinates are ints
+        write('{"vertices": [%s]}\n' % ", ".join(["[%d, %d]" % v for v in poly.vertices]))
         count += 1
         if found is not None:
-            found.append(obj)
+            found.append(poly.to_obj())
     print(f"found {count} polygons", file=sys.stderr)
     _write_out(
         args.out,

@@ -59,6 +59,9 @@ class Line:
         return (c > 0) - (c < 0)
 
 
+_new = tuple.__new__
+
+
 class Polygon:
     """A strictly convex lattice polygon, stored counter-clockwise.
 
@@ -74,7 +77,9 @@ class Polygon:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices: Iterable[Vec]):
-        verts = tuple(Vec(int(v[0]), int(v[1])) for v in vertices)
+        # tuple.__new__ makes the same Vec as Vec(x1, x2) without a call
+        # of the namedtuple's Python-level __new__
+        verts = [_new(Vec, (int(v[0]), int(v[1]))) for v in vertices]
         if len(verts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         # the turns at verts[-1], verts[0], ..., verts[-2]: (ex, ey) is the
@@ -93,7 +98,7 @@ class Polygon:
         if wraps != 1:
             raise GeometryError("vertex cycle winds more than once")
         start = verts.index(min(verts))
-        self.vertices = verts[start:] + verts[:start]
+        self.vertices = (*verts[start:], *verts[:start])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices

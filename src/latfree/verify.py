@@ -534,14 +534,6 @@ def type_ii_bound_pipeline(
     when b >= 1), bounds each axis face by the large steps, and sums the
     actual instances to 2N <= 4n + 4 - 4b, hence N <= 2n + 2 - 2b.
     """
-    if not satisfies_type(poly, TypeTag("II", n)):
-        raise ValueError("polygon is not in type II position")
-    if not all(vertex_lattice.contains(v) for v in poly.vertices):
-        raise ValueError("polygon vertices must belong to the claimed lattice")
-    b = _b_parameter(vertex_lattice, n)
-    failures: list[str] = []
-    details: dict = {"n": n, "b": b, "vertices": len(poly)}
-
     frames = {
         1: Frame(Vec(n, 0), -E1, E2),
         2: Frame(Vec(n, n), -E1, -E2),
@@ -550,7 +542,21 @@ def type_ii_bound_pipeline(
     }
     ms = maximal_slopes(poly)
     profs = {k: frame_splits_maximal(ms, frame) for k, frame in frames.items()}
-    failures.extend(f"corner_frame_{k}" for k, prof in profs.items() if prof is None)
+    # A profile needs both rays of its frame to split the polygon.  The
+    # eight corner rays are the four sides of the n-square, each run from
+    # both of its ends, and a side splits the polygon exactly when both of
+    # its rays do: the chord then starts at or after one end and stops at
+    # or before the other.  So four profiles put the polygon in type II
+    # position, and the clause is asked only when some frame fails.
+    if any(prof is None for prof in profs.values()) and not satisfies_type(
+        poly, TypeTag("II", n)
+    ):
+        raise ValueError("polygon is not in type II position")
+    if not all(vertex_lattice.contains(v) for v in poly.vertices):
+        raise ValueError("polygon vertices must belong to the claimed lattice")
+    b = _b_parameter(vertex_lattice, n)
+    failures = [f"corner_frame_{k}" for k, prof in profs.items() if prof is None]
+    details: dict = {"n": n, "b": b, "vertices": len(poly)}
     context = {"polygon": poly.to_obj(), "lattice": vertex_lattice.to_obj()}
     if failures:
         # every later step reads the four split slopes

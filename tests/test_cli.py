@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 import latfree
 from latfree.cli import run
+from latfree.core import Sublattice
 from latfree.polygon import Polygon
 from latfree.reduction import classify_type
+from latfree.verify import SearchBox, enumerate_free_polygons
 
 from conftest import count_calls
 
@@ -167,6 +169,56 @@ def test_enumerate_out_matches_stream(files, capsys):
     report = json.loads(out.read_text())
     assert report["count"] == 483
     assert report["polygons"] == [json.loads(line) for line in streamed.out.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "factors, box, min_vertices",
+    [((3, 3), "-2,5,-1,4", 3), ((3, 3), "-2,5,-1,4", 6)],
+)
+def test_enumerate_stream_bytes(files, capsysbinary, factors, box, min_vertices):
+    tmp, write = files
+    lattice = write("lat.json", {"delta": factors[0], "n": factors[1]})
+    argv = ["enumerate", "--lattice", lattice, "--box", box, "--min-vertices", str(min_vertices)]
+    assert run(argv) == 0
+    polygons = list(
+        enumerate_free_polygons(Sublattice.rectangular(*factors), SearchBox.parse(box), min_vertices)
+    )
+    captured = capsysbinary.readouterr()
+    assert captured.out == "".join(json.dumps(p.to_obj()) + "\n" for p in polygons).encode()
+    assert captured.err == f"found {len(polygons)} polygons\n".encode()
+
+
+def test_enumerate_serializes_only_for_out(files, capsys, monkeypatch):
+    tmp, write = files
+    lattice = write("lat.json", {"delta": 2, "n": 2})
+    argv = ["enumerate", "--lattice", lattice, "--box", "-1,3,-1,3"]
+    to_obj_calls, dumps_calls = [], []
+    to_obj, dumps = Polygon.to_obj, json.dumps
+
+    def counted(calls, original):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Polygon, "to_obj", counted(to_obj_calls, to_obj))
+    monkeypatch.setattr(json, "dumps", counted(dumps_calls, dumps))
+    assert run(argv) == 0
+    assert capsys.readouterr().err == "found 483 polygons\n"
+    assert to_obj_calls == [] and dumps_calls == []
+    out = tmp / "polygons.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert len(to_obj_calls) == 483 and dumps_calls == []
+    monkeypatch.undo()
+    polygons = list(enumerate_free_polygons(Sublattice.rectangular(2, 2), SearchBox(-1, 3, -1, 3)))
+    report = {
+        "box": [-1, 3, -1, 3],
+        "count": 483,
+        "lattice": {"delta": 2, "n": 2},
+        "polygons": [p.to_obj() for p in polygons],
+    }
+    assert out.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_extremal(files, capsys):

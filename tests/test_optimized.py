@@ -114,3 +114,17 @@ def test_cli_under_python_O_matches(inputs, args):
     optimized = _cli(["-O"], args)
     assert plain[0] == 0 and plain[1]
     assert optimized == plain
+
+
+def test_mistyped_marker_fails_collection(tmp_path):
+    # an unregistered mark is an error, so a typo of ``slow`` cannot put a
+    # slow replay into the default run
+    test = tmp_path / "test_typo.py"
+    test.write_text("import pytest\n\n\n@pytest.mark.slwo\ndef test_typo():\n    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(SRC.parent / "pyproject.toml"), "--rootdir", str(tmp_path), str(test)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "'slwo' not found in `markers`" in proc.stdout

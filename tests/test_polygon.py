@@ -61,6 +61,28 @@ class TestPolygonConstruction:
             Polygon(pts)
 
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [(Fraction(0), 0.0), [2.0, True], [Fraction(2), Fraction(6, 2)], (True, 2)],
+            [[0, 0], [2, 1], [2, 3], [1, 2]],
+            (Vec(x, y) for x, y in [(2, 3), (1, 2), (0, 0), (2, 1)]),
+        ],
+        ids=["int-like", "lists", "generator"],
+    )
+    def test_coerces_int_like_coordinates(self, raw):
+        p = Polygon(raw)
+        assert p.vertices == ((0, 0), (2, 1), (2, 3), (1, 2))
+        assert all(type(v) is Vec for v in p.vertices)
+        assert all(type(c) is int for v in p.vertices for c in v)
+
+    def test_int_like_input_rejected_as_before(self):
+        with pytest.raises(GeometryError, match="strictly convex"):
+            Polygon([(0.0, 0), (Fraction(1), 0), (2, False)])
+        with pytest.raises(GeometryError, match="at least 3"):
+            Polygon([[True, 2.0], (Fraction(3), 1)])
+
+
 def _half(v):
     # 0 for directions with angle in [0, pi), 1 for [pi, 2*pi)
     return 0 if (v.x2 > 0 or (v.x2 == 0 and v.x1 > 0)) else 1

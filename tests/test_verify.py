@@ -1,4 +1,8 @@
+import collections
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -13,7 +17,7 @@ from latfree.polygon import (
     lattice_points_in,
     polygon_free_of,
 )
-from latfree.reduction import TypeTag, classify_type
+from latfree.reduction import TypeTag, classify_type, satisfies_type
 from latfree.verify import (
     SearchBox,
     check_pentagon_parity,
@@ -350,12 +354,15 @@ class TestTypeIIPipeline:
         profile_calls = count_calls(monkeypatch, "slope_profile")
         coords_calls = count_calls(monkeypatch, "_frame_coords")
         stats_calls = count_calls(monkeypatch, "bounding_stats")
+        type_calls = count_calls(monkeypatch, "satisfies_type")
         assert type_ii_bound_pipeline(poly, n, lattice).ok
         assert len(slopes_calls) == 1
         assert len(profile_calls) <= 4
         assert len(coords_calls) <= 4
-        # one for the type II clause, one for the maximal slopes
-        assert len(stats_calls) <= 2
+        # four split corner frames settle type II, so the clause is not
+        # asked and the maximal slopes take the only bounding stats
+        assert type_calls == []
+        assert len(stats_calls) == 1
 
     def test_failed_corner_frames_end_the_pipeline(self):
         # type II position, but (3, 0), (3, 3) and (0, 3) lie in the polygon,
@@ -364,6 +371,47 @@ class TestTypeIIPipeline:
         rep = type_ii_bound_pipeline(poly, 3, Sublattice.zsquare())
         assert not rep.ok
         assert rep.counterexample["failed"] == ["corner_frame_1", "corner_frame_2", "corner_frame_3"]
+
+    def test_random_polygons_follow_the_type_ii_clause(self):
+        # Seeded hulls around the n-square.  Most have a vertex beyond the
+        # middle of each side, plus up to two points of the closed square,
+        # so both type II positions with and without a held corner occur;
+        # one in ten claims the (1, n)-lattice, which most of them leave.
+        rng = random.Random(12)
+        digest = hashlib.sha256()
+        seen = collections.Counter()
+        while sum(seen.values()) < 600:
+            n = rng.choice((3, 4, 5))
+            if rng.random() < 0.7:
+                pts = [
+                    (rng.randint(1, n - 1), -rng.randint(1, 2)),
+                    (n + rng.randint(1, 2), rng.randint(1, n - 1)),
+                    (rng.randint(1, n - 1), n + rng.randint(1, 2)),
+                    (-rng.randint(1, 2), rng.randint(1, n - 1)),
+                ]
+                pts += [(rng.randint(0, n), rng.randint(0, n)) for _ in range(rng.randint(0, 2))]
+            else:
+                pts = [(rng.randint(-2, n + 2), rng.randint(-2, n + 2)) for _ in range(rng.randint(3, 6))]
+            try:
+                poly = convex_hull(pts)
+            except DegenerateHullError:
+                continue
+            lattice = Sublattice.rectangular(1, n) if rng.random() < 0.1 else Sublattice.zsquare()
+            type_ii = satisfies_type(poly, TypeTag("II", n))
+            try:
+                outcome = dataclasses.asdict(type_ii_bound_pipeline(poly, n, lattice))
+            except ValueError as exc:
+                outcome = str(exc)
+            assert (outcome == "polygon is not in type II position") == (not type_ii)
+            corner = any(poly.contains(Vec(x, y)) for x in (0, n) for y in (0, n))
+            seen[type_ii, corner, isinstance(outcome, dict) and outcome["ok"]] += 1
+            digest.update(json.dumps(outcome, sort_keys=True).encode())
+        # every mix occurs: failing and passing reports, held corners
+        assert seen[True, True, False] and seen[True, False, True]
+        assert seen[True, False, False] and seen[False, True, False]
+        # the reports and messages of the pipeline that asked the type II
+        # clause first, on every polygon
+        assert digest.hexdigest() == "6924b77cf0e9b236298886aea692c67b084a01a9b8709013785aa1f7c2105855"
 
 
 class TestPentagonParity:
