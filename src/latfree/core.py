@@ -292,9 +292,12 @@ class Sublattice:
         return self.det() >= 2
 
     def contains(self, p: Vec) -> bool:
-        b = self.basis
-        d = b.det()
-        return (p.x1 * b.a22 - p.x2 * b.a12) % d == 0 and (b.a11 * p.x2 - b.a21 * p.x1) % d == 0
+        # Cramer's rule: p is in the lattice iff both adjugate rows map it
+        # into det * Z, and delta * n is |det|
+        a11, a12, a21, a22 = self.basis
+        x1, x2 = p
+        d = self.delta * self.n
+        return (x1 * a22 - x2 * a12) % d == 0 and (a11 * x2 - a21 * x1) % d == 0
 
     def to_obj(self) -> dict:
         if self.basis == Mat2(self.delta, 0, 0, self.n):

@@ -124,7 +124,13 @@ class Polygon:
         return total
 
     def contains(self, p: Vec) -> bool:
-        return all((b - a).cross(p - a) >= 0 for a, b in self.edges())
+        px, py = p
+        ax, ay = self.vertices[-1]
+        for bx, by in self.vertices:
+            if (bx - ax) * (py - ay) < (by - ay) * (px - ax):
+                return False
+            ax, ay = bx, by
+        return True
 
     def to_obj(self) -> dict:
         return {"vertices": [list(v) for v in self.vertices]}
@@ -161,30 +167,39 @@ def convex_hull(points: Iterable[Vec]) -> Polygon:
 def lattice_points_in(poly: Polygon) -> list[Vec]:
     """All integer points inside or on the polygon, in lexicographic order.
 
-    Each horizontal row is clipped exactly: every edge meeting the row
-    gives its crossing x = num/den, rounded inward by integer floor and
-    ceiling division, and since ceil(min xs) == min(ceil x) the row keeps
-    the smallest ceiling through the largest floor.
+    Each horizontal row is clipped exactly.  Counter-clockwise, the rising
+    edges bound the polygon on the right and the falling edges on the left,
+    and each of the two chains covers every row from the bottom to the top.
+    So a row takes its largest x from a rising edge by integer floor
+    division and its smallest from a falling edge by ceiling division; where
+    two edges of a chain meet, both give the vertex.  Horizontal edges add
+    nothing: their ends are vertices of the two chains.
     """
-    bottom = min(v.x2 for v in poly.vertices)
-    top = max(v.x2 for v in poly.vertices)
-    lo = [math.inf] * (top - bottom + 1)
-    hi = [-math.inf] * (top - bottom + 1)
-    for (ax, ay), (bx, by) in poly.edges():
-        if ay == by:
-            r = ay - bottom
-            lo[r] = min(lo[r], ax, bx)
-            hi[r] = max(hi[r], ax, bx)
-            continue
-        dx, dy = bx - ax, by - ay
-        for y in range(min(ay, by), max(ay, by) + 1):
-            num = ax * dy + (y - ay) * dx  # the crossing is x = num / dy
-            r = y - bottom
-            lo[r] = min(lo[r], -(-num // dy))
-            hi[r] = max(hi[r], num // dy)
+    vs = poly.vertices
+    bottom = min(y for _, y in vs)
+    rows = max(y for _, y in vs) - bottom + 1
+    lo = [0] * rows
+    hi = [0] * rows
+    ax, ay = vs[-1]
+    for bx, by in vs:
+        if by > ay:
+            # x = num / den on row y, for y from ay up to by
+            den, step = by - ay, bx - ax
+            num = ax * den
+            for r in range(ay - bottom, by - bottom + 1):
+                hi[r] = num // den
+                num += step
+        elif by < ay:
+            # the same from b up to a, rounded up
+            den, step = ay - by, ax - bx
+            num = bx * den
+            for r in range(by - bottom, ay - bottom + 1):
+                lo[r] = -(-num // den)
+                num += step
+        ax, ay = bx, by
     points = [
-        Vec(x, y)
-        for y, x_lo, x_hi in zip(range(bottom, top + 1), lo, hi)
+        _new(Vec, (x, y))
+        for y, x_lo, x_hi in zip(range(bottom, bottom + rows), lo, hi)
         for x in range(x_lo, x_hi + 1)
     ]
     points.sort()
@@ -230,14 +245,13 @@ class BoundingStats(NamedTuple):
 
 def bounding_stats(poly: Polygon) -> BoundingStats:
     vs = poly.vertices
-    north = max(v.x2 for v in vs)
-    south = min(v.x2 for v in vs)
-    west = min(v.x1 for v in vs)
-    east = max(v.x1 for v in vs)
-    at_n = [v.x1 for v in vs if v.x2 == north]
-    at_s = [v.x1 for v in vs if v.x2 == south]
-    at_w = [v.x2 for v in vs if v.x1 == west]
-    at_e = [v.x2 for v in vs if v.x1 == east]
+    xs = [x for x, _ in vs]
+    ys = [y for _, y in vs]
+    north, south, west, east = max(ys), min(ys), min(xs), max(xs)
+    at_n = [x for x, y in vs if y == north]
+    at_s = [x for x, y in vs if y == south]
+    at_w = [y for x, y in vs if x == west]
+    at_e = [y for x, y in vs if x == east]
     return BoundingStats(
         north, min(at_n), max(at_n),
         south, min(at_s), max(at_s),
@@ -249,8 +263,13 @@ def bounding_stats(poly: Polygon) -> BoundingStats:
 def line_splits(poly: Polygon, line: Line) -> bool:
     """True iff the polygon has vertices strictly on both sides of the line."""
     (ox, oy), (dx, dy) = line.anchor, line.direction
+    return _line_splits(poly.vertices, ox, oy, dx, dy)
+
+
+def _line_splits(verts, ox: int, oy: int, dx: int, dy: int) -> bool:
+    # the split test of the line (ox, oy) + t*(dx, dy) on a vertex sequence
     left = right = False
-    for x, y in poly.vertices:
+    for x, y in verts:
         c = dx * (y - oy) - dy * (x - ox)
         if c > 0:
             left = True
@@ -259,16 +278,15 @@ def line_splits(poly: Polygon, line: Line) -> bool:
     return left and right
 
 
-def _chord(poly: Polygon, line: Line) -> Optional[tuple[int, int, int, int]]:
-    """Integer core of :func:`chord_interval`: ``(lo_num, lo_den, hi_num,
+def _chord(verts, ox: int, oy: int, dx: int, dy: int) -> Optional[tuple[int, int, int, int]]:
+    """Integer core of :func:`chord_interval` on the line (ox, oy) + t*(dx, dy),
+    for a counter-clockwise vertex sequence: ``(lo_num, lo_den, hi_num,
     hi_den)`` with positive denominators, or None when the line misses.
 
     Each edge bounds the parameter t on one side by -alpha/beta; the bounds
     are compared by cross-multiplication.
     """
-    (ox, oy), (dx, dy) = line.anchor, line.direction
     lo_num = lo_den = hi_num = hi_den = 0
-    verts = poly.vertices
     ax, ay = verts[-1]
     for bx, by in verts:
         ex, ey = bx - ax, by - ay
@@ -290,12 +308,23 @@ def _chord(poly: Polygon, line: Line) -> Optional[tuple[int, int, int, int]]:
     return lo_num, lo_den, hi_num, hi_den
 
 
+def _split_chord(verts, ox: int, oy: int, dx: int, dy: int) -> Optional[tuple[int, int, int, int]]:
+    # the chord of a line that splits the polygon, None when it does not split
+    if not _line_splits(verts, ox, oy, dx, dy):
+        return None
+    chord = _chord(verts, ox, oy, dx, dy)
+    if chord is None:
+        raise InvariantError("a splitting line meets the polygon")
+    return chord
+
+
 def chord_interval(poly: Polygon, line: Line) -> Optional[tuple[Fraction, Fraction]]:
     """Parameter interval of ``poly`` on the line ``anchor + t*direction``.
 
     Returns None when the line misses the polygon.
     """
-    chord = _chord(poly, line)
+    (ox, oy), (dx, dy) = line.anchor, line.direction
+    chord = _chord(poly.vertices, ox, oy, dx, dy)
     if chord is None:
         return None
     lo_num, lo_den, hi_num, hi_den = chord
@@ -304,25 +333,18 @@ def chord_interval(poly: Polygon, line: Line) -> Optional[tuple[Fraction, Fracti
 
 def segment_splits(poly: Polygon, seg: Segment) -> bool:
     """True iff the supporting line splits the polygon and the chord lies within the segment."""
-    line = Line.through(seg.a, seg.b)
-    if not line_splits(poly, line):
-        return False
-    chord = _chord(poly, line)
-    if chord is None:
-        raise InvariantError("a splitting line meets the polygon")
-    lo_num, _, hi_num, hi_den = chord
-    return lo_num >= 0 and hi_num <= hi_den
+    (ax, ay), (bx, by) = seg
+    if ax == bx and ay == by:
+        raise GeometryError("line needs two distinct points")
+    chord = _split_chord(poly.vertices, ax, ay, bx - ax, by - ay)
+    return chord is not None and chord[0] >= 0 and chord[2] <= chord[3]
 
 
 def ray_splits(poly: Polygon, origin: Vec, direction: Vec) -> bool:
     """True iff the supporting line splits the polygon and the chord lies on the ray."""
-    line = Line(origin, direction)
-    if not line_splits(poly, line):
-        return False
-    chord = _chord(poly, line)
-    if chord is None:
-        raise InvariantError("a splitting line meets the polygon")
-    return chord[0] >= 0
+    (ox, oy), (dx, dy) = origin, direction
+    chord = _split_chord(poly.vertices, ox, oy, dx, dy)
+    return chord is not None and chord[0] >= 0
 
 
 def apply_affine(poly: Polygon, m: AffineMap) -> Polygon:

@@ -12,6 +12,7 @@ then picks the type and the finishing automorphism.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -21,6 +22,8 @@ from .polygon import (
     Polygon,
     Segment,
     _chord,
+    _line_splits,
+    _split_chord,
     apply_affine,
     bounding_stats,
     lattice_points_in,
@@ -87,7 +90,7 @@ def lattice_diameter(poly: Polygon) -> DiameterWitness:
     """Longest string of collinear integer points in the polygon, minus one.
 
     One integer clip of the polygon's lattice points (which
-    :func:`slab_normalize` shares with its freeness test), then a quadratic
+    :func:`slab_normalize` shares with its freeness test), then a pruned
     pass over their pairs; ties are broken by the lexicographically
     smallest endpoint pair.
     """
@@ -95,14 +98,27 @@ def lattice_diameter(poly: Polygon) -> DiameterWitness:
 
 
 def _diameter(pts: list[Vec]) -> DiameterWitness:
-    # pts in lexicographic order, as lattice_points_in returns them
+    # pts in lexicographic order, as lattice_points_in returns them.  The
+    # pairs are visited in lexicographic order and only a strictly longer
+    # string replaces the best, so the first longest pair is kept.  Every
+    # skipped pair is strictly shorter than the best so far: gcd(dx, dy) is
+    # at most |dx| and, for dy != 0, at most |dy|; in p's own column the
+    # string to the column's last point is the longest.
     best = -1
     best_pair: Optional[tuple[Vec, Vec]] = None
-    for i in range(len(pts)):
-        p = pts[i]
-        for j in range(i + 1, len(pts)):
-            q = pts[j]
-            g = math.gcd(q.x1 - p.x1, q.x2 - p.x2)
+    for i, p in enumerate(pts):
+        px, py = p
+        end = bisect_left(pts, (px + 1,), i + 1)  # the first point right of p's column
+        top = pts[end - 1]
+        if end - 1 > i and top[1] - py > best:
+            best = top[1] - py
+            best_pair = (p, top)
+        for q in pts[bisect_left(pts, (px + best,), end) :]:
+            qx, qy = q
+            dy = qy - py
+            if dy and -best < dy < best:
+                continue
+            g = math.gcd(qx - px, dy)
             if g > best:
                 best = g
                 best_pair = (p, q)
@@ -111,13 +127,14 @@ def _diameter(pts: list[Vec]) -> DiameterWitness:
     return DiameterWitness(best, Segment(*best_pair))
 
 
-def _chord_cell_index(poly: Polygon, x1: int, n: int) -> int:
-    """Index u with the vertical chord at x1 inside the open strip (u*n, (u+1)*n).
+def _chord_cell_index(verts, x1: int, n: int) -> int:
+    """Index u with the vertical chord at x1 inside the open strip (u*n, (u+1)*n),
+    for a counter-clockwise vertex sequence.
 
     Zero when the line misses the polygon.  The chord of an n*Z^2-free
     polygon cannot touch a multiple of n, which the caller relies on.
     """
-    chord = _chord(poly, Line.vertical(x1))
+    chord = _chord(verts, x1, 0, 0, 1)
     if chord is None:
         return 0
     lo_num, lo_den, hi_num, hi_den = chord
@@ -127,14 +144,6 @@ def _chord_cell_index(poly: Polygon, x1: int, n: int) -> int:
     return u
 
 
-def _chord_shear(poly: Polygon, n: int) -> AffineMap:
-    """The vertical shear fixing x1 that moves the chords at x1 = 0 and
-    x1 = n into the segments [(0,0),(0,n)] and [(n,0),(n,n)]."""
-    u1 = _chord_cell_index(poly, 0, n)
-    u2 = _chord_cell_index(poly, n, n)
-    return AffineMap(Mat2(1, 0, u1 - u2, 1), Vec(0, -u1 * n))
-
-
 def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
     """Move an n*Z^2-free polygon into the slab -n+1 <= x1 <= 2n-1.
 
@@ -142,6 +151,12 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
     a longest lattice string on a line x1 = c with 0 <= c <= n-1, and its
     chords on x1 = 0 and x1 = n (when nonempty) lie on the unit-square
     sides [(0,0),(0,n)] and [(n,0),(n,n)].
+
+    The map is built in plain integers and applied once: a rotation R
+    taking the string's direction to e2, a shift (tx, 0) by a multiple of n
+    that puts the string's line at x1 = c, then the vertical shear
+    (x1, x2) -> (x1, k*x1 + x2 - u1*n) that moves the chords into the
+    unit-square sides, read off the rotated and shifted vertices.
     """
     if n < 2:
         raise ValueError("slab normalization needs n >= 2")
@@ -150,24 +165,21 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
     if any(lattice.contains(p) for p in pts):
         raise NotLatticeFreeError("polygon not lattice-free")
 
-    wit = _diameter(pts)
-    p, q = wit.segment
-    d = q - p
-    g = math.gcd(d.x1, d.x2)
-    direction = Vec(d.x1 // g, d.x2 // g)
-    rotate = AffineMap(primitive_to(direction, E2), ORIGIN)
+    (px, py), (qx, qy) = _diameter(pts).segment
+    g = math.gcd(qx - px, qy - py)
+    r11, r12, r21, r22 = primitive_to(Vec((qx - px) // g, (qy - py) // g), E2)
+    shift_count, c = divmod(r11 * px + r12 * py, n)
+    tx = -shift_count * n
+    moved = [(r11 * x + r12 * y + tx, r21 * x + r22 * y) for x, y in poly.vertices]
+    if r11 * r22 - r12 * r21 < 0:
+        moved.reverse()  # keep the vertices counter-clockwise
+    u1 = _chord_cell_index(moved, 0, n)
+    k = u1 - _chord_cell_index(moved, n, n)
+    full = AffineMap(Mat2(r11, r12, k * r11 + r21, k * r12 + r22), Vec(tx, k * tx - u1 * n))
+    image = apply_affine(poly, full)
 
-    m_line = rotate(p).x1
-    shift_count, c = divmod(m_line, n)
-    move = AffineMap.translate(Vec(-shift_count * n, 0)).compose(rotate)
-    image = apply_affine(poly, move)
-
-    shear = _chord_shear(image, n)
-    full = shear.compose(move)
-    image = apply_affine(image, shear)
-
-    stats = bounding_stats(image)
-    if not (-n + 1 <= stats.west and stats.east <= 2 * n - 1):
+    xs = [x for x, _ in image.vertices]
+    if not (-n + 1 <= min(xs) and max(xs) <= 2 * n - 1):
         raise InvariantError("normalized image escapes the slab")
     if not full.is_automorphism_of(lattice):
         raise InvariantError("normalizing map is not an automorphism of n*Z^2")
@@ -188,7 +200,7 @@ def check_diameter_slab_bound(poly: Polygon) -> bool:
     if stats.west < -(ell + 2) or stats.east > ell + 2:
         return False
     for x1 in (ell + 1, -(ell + 1)):
-        chord = _chord(poly, Line.vertical(x1))
+        chord = _chord(poly.vertices, x1, 0, 0, 1)
         if chord is not None:
             lo_num, lo_den, hi_num, hi_den = chord
             if hi_num // hi_den >= -(-lo_num // lo_den):
@@ -272,8 +284,14 @@ def _split_index(poly: Polygon, y: int, n: int) -> int:
     Returns 1, 2 or 3 for [(-n,y),(0,y)], [(0,y),(n,y)], [(n,y),(2n,y)],
     or 0 when none does.  Freeness makes the choice unique.
     """
-    for idx, (a, b) in enumerate([(-n, 0), (0, n), (n, 2 * n)], start=1):
-        if segment_splits(poly, Segment(Vec(a, y), Vec(b, y))):
+    # the three segments share their line: its chord runs from x1 = lo to
+    # x1 = hi, and a segment [(a,y),(a+n,y)] splits when a <= lo, hi <= a + n
+    chord = _split_chord(poly.vertices, 0, y, 1, 0)
+    if chord is None:
+        return 0
+    lo_num, lo_den, hi_num, hi_den = chord
+    for idx, a in enumerate((-n, 0, n), start=1):
+        if a * lo_den <= lo_num and hi_num <= (a + n) * hi_den:
             return idx
     return 0
 
@@ -284,6 +302,8 @@ _FLIP_X2 = Mat2(1, 0, 0, -1)
 _HALF_TURN = Mat2(-1, 0, 0, -1)
 _QUARTER_TURN = Mat2(0, -1, 1, 0)
 _SWAP = Mat2(0, 1, 1, 0)
+# the split index after the reflection x -> (n - x1, x2), by the index before
+_MIRROR = (0, 3, 2, 1)
 
 # Decision rows: split profile (i, j) -> (type, L, t), where the finishing
 # automorphism is x -> L x + n*t.  Case B is the one-vertical-line
@@ -340,31 +360,41 @@ def classify_type(poly: Polygon, n: int) -> tuple[AffineMap, TypeTag]:
 
 
 def _classify(poly: Polygon, n: int) -> tuple[AffineMap, TypeTag, Polygon]:
-    """:func:`classify_type` together with the image of the polygon."""
+    """:func:`classify_type` together with the image of the polygon.
+
+    When only x1 = n splits, the table is read after the reflection
+    x -> (n - x1, x2).  It swaps the outer segments 1 and 3 on each line
+    x2 = y and keeps the middle one, so the split indices are read on the
+    unreflected image and mirrored, and the reflection is folded into the
+    finishing map, which is applied once (not at all when it is the
+    identity).
+    """
     norm = slab_normalize(poly, n)
     image, total = norm.image, norm.map
 
-    left = line_splits(image, Line.vertical(0))
-    right = line_splits(image, Line.vertical(n))
+    left = _line_splits(image.vertices, 0, 0, 0, 1)
+    right = _line_splits(image.vertices, n, 0, 0, 1)
 
     if not left and not right:
         profile = SplitProfile("A", None, None)
         kind = "I"
     else:
-        if right and not left:
-            refl = AffineMap(_FLIP_X1, Vec(n, 0))  # x -> (n - x1, x2)
-            image = apply_affine(image, refl)
-            total = refl.compose(total)
-            right = False
-        case = "C" if right else "B"
-        profile = SplitProfile(case, _split_index(image, 0, n), _split_index(image, n, n))
-        row = (_CASE_C_ROWS if right else _CASE_B_ROWS).get((profile.i, profile.j))
+        i, j = _split_index(image, 0, n), _split_index(image, n, n)
+        reflect = right and not left
+        if reflect:
+            i, j = _MIRROR[i], _MIRROR[j]
+        case = "C" if left and right else "B"
+        profile = SplitProfile(case, i, j)
+        row = (_CASE_C_ROWS if case == "C" else _CASE_B_ROWS).get((i, j))
         if row is None:
             raise ClassificationError("no table row", poly, profile)
         kind, linear, (t1, t2) = row
-        step = AffineMap(linear, Vec(t1 * n, t2 * n))
-        image = apply_affine(image, step)
-        total = step.compose(total)
+        finish = AffineMap(linear, Vec(t1 * n, t2 * n))
+        if reflect:
+            finish = finish.compose(AffineMap(_FLIP_X1, Vec(n, 0)))  # x -> (n - x1, x2) first
+        if finish != AffineMap.identity():
+            image = apply_affine(image, finish)
+            total = finish.compose(total)
 
     tag = TypeTag(kind, n)
     if not satisfies_type(image, tag):

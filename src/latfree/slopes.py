@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import E1, E2, InvariantError, Mat2, Sublattice, Vec, int_pairs, steps
-from .polygon import BoundingStats, Polygon, bounding_stats, ray_splits
+from .polygon import BoundingStats, Polygon, _new, bounding_stats, ray_splits
 
 
 class SlopeError(ValueError):
@@ -79,21 +79,21 @@ def validate_slope(vertices: list[Vec] | tuple[Vec, ...], f1: Vec, f2: Vec) -> S
     frame = Mat2.from_columns(f1, f2)
     if not frame.is_unimodular():
         raise SlopeError("slope basis must be a unimodular basis of Z^2")
-    verts = tuple(Vec(int(v[0]), int(v[1])) for v in vertices)
+    verts = tuple([_new(Vec, (int(v[0]), int(v[1]))) for v in vertices])
     if not verts:
         raise SlopeError("slope needs at least one vertex")
-    inv = frame.inverse_unimodular()
-    coords = [inv.mul_vec(v) for v in verts]
-    edges = [coords[i] - coords[i - 1] for i in range(1, len(coords))]
+    a11, a12, a21, a22 = frame.inverse_unimodular()
+    coords = [(a11 * x + a12 * y, a21 * x + a22 * y) for x, y in verts]
+    edges = [(qx - px, qy - py) for (px, py), (qx, qy) in zip(coords, coords[1:])]
     for i, a in enumerate(edges, start=1):
-        if not (a.x1 > 0 and a.x2 < 0):
+        if not (a[0] > 0 and a[1] < 0):
             raise SlopeError(
-                f"edge {i} must point down-right in the basis, got {tuple(a)}",
+                f"edge {i} must point down-right in the basis, got {a}",
                 edge_index=i,
             )
     for i in range(len(edges) - 1):
-        a, b = edges[i], edges[i + 1]
-        if a.x1 * b.x2 - b.x1 * a.x2 <= 0:
+        (a1, a2), (b1, b2) = edges[i], edges[i + 1]
+        if a1 * b2 - b1 * a2 <= 0:
             raise SlopeError(
                 f"edges {i + 1} and {i + 2} violate the increasing-ratio condition",
                 edge_index=i + 2,
@@ -169,12 +169,15 @@ def maximal_slopes(poly: Polygon) -> MaximalSlopes:
 
 
 def _frame_coords(frame: Frame, slope: Slope) -> list[Vec]:
-    bases = {(slope.f1, slope.f2), (slope.f2, slope.f1)}
-    if (frame.f1, frame.f2) not in bases:
+    origin, f1, f2 = frame
+    if (f1, f2) != (slope.f1, slope.f2) and (f2, f1) != (slope.f1, slope.f2):
         raise ValueError("frame basis must match the slope basis up to a swap")
-    inv = Mat2.from_columns(frame.f1, frame.f2).inverse_unimodular()
-    ox, oy = frame.origin
-    return [inv.mul_vec(Vec(x - ox, y - oy)) for x, y in slope.vertices]
+    a11, a12, a21, a22 = Mat2.from_columns(f1, f2).inverse_unimodular()
+    ox, oy = origin
+    return [
+        _new(Vec, (a11 * (x - ox) + a12 * (y - oy), a21 * (x - ox) + a22 * (y - oy)))
+        for x, y in slope.vertices
+    ]
 
 
 @dataclass(frozen=True)
@@ -235,41 +238,41 @@ def slope_profile(frame: Frame, slope: Slope) -> Optional[SlopeProfile]:
     if slope.n_edges == 0:
         return None
     coords = _frame_coords(frame, slope)
-    if coords[0].x1 > 0:
+    if coords[0][0] > 0:
         coords.reverse()
-    a, b = coords[0], coords[-1]
-    if not (a.x1 < 0 < a.x2 and b.x2 < 0 < b.x1):
+    (ax, ay), (bx, by) = coords[0], coords[-1]
+    if not (ax < 0 < ay and by < 0 < bx):
         return None
-    edges = [coords[i] - coords[i - 1] for i in range(1, len(coords))]
-    if not all(e.x1 > 0 > e.x2 for e in edges):
+    edges = [(qx - px, qy - py) for (px, py), (qx, qy) in zip(coords, coords[1:])]
+    if not all(ex > 0 > ey for ex, ey in edges):
         raise InvariantError("slope edges point down-right in frame coordinates")
     # with every edge down-right the walk is monotone, so it meets the open
     # first quadrant iff it crosses x1 = 0 above the origin
-    j = next(i for i, c in enumerate(coords) if c.x1 > 0)
-    p, q = coords[j - 1], coords[j]
-    if not p.x2 * q.x1 > p.x1 * q.x2:
+    j = next(i for i, c in enumerate(coords) if c[0] > 0)
+    (px, py), (qx, qy) = coords[j - 1], coords[j]
+    if not py * qx > px * qy:
         return None
 
-    k = next(i for i, c in enumerate(coords) if c.x2 < 0)
-    a_k = edges[k - 1]
-    alpha = Fraction(a_k.x1, -a_k.x2)
-    t = math.ceil(alpha) - 1
-    s_edges = tuple(i for i in range(1, k) if edges[i - 1].x2 == -1)
-    delta_flag = int(coords[k - 1].x2 > 0 and alpha.denominator == 1)
-
-    def pos(v: int) -> int:
-        return v if v > 0 else 0
+    k = next(i for i, c in enumerate(coords) if c[1] < 0)
+    a1, a2 = edges[k - 1]
+    alpha = Fraction(a1, -a2)
+    t = -(a1 // a2) - 1  # ceil(alpha) - 1, as -a2 > 0
+    s_edges = tuple(i for i in range(1, k) if edges[i - 1][1] == -1)
+    delta_flag = int(coords[k - 1][1] > 0 and a1 % a2 == 0)
 
     pi1 = pi2 = pihat_head = pihat_tail = 0
-    for i in range(1, len(coords)):
-        p1 = pos(coords[i].x1) - pos(coords[i - 1].x1)
-        p2 = pos(coords[i - 1].x2) - pos(coords[i].x2)
+    px, py = ax, ay
+    for i, (qx, qy) in enumerate(coords[1:], start=1):
+        # the positive-part projections of the edge from p to q
+        p1 = (qx if qx > 0 else 0) - (px if px > 0 else 0)
+        p2 = (py if py > 0 else 0) - (qy if qy > 0 else 0)
         pi1 += p1
         pi2 += p2
         if i <= k:
             pihat_head += p1 + p2 - 2
         else:
             pihat_tail += p1 + p2 - 2
+        px, py = qx, qy
     pihat = pi1 + pi2 - 2 * len(edges)
     if pihat != pihat_head + pihat_tail:
         raise InvariantError("projection sums disagree with their head/tail split")
@@ -291,10 +294,14 @@ class CheckReport:
 
     @classmethod
     def from_failures(
-        cls, name: str, details: dict, failures: list[str], context: dict
+        cls, name: str, details: dict, failures: list[str], context: Optional[dict]
     ) -> "CheckReport":
         """Pass when no clause failed; otherwise the counterexample holds the
-        context, the failed clauses and the details."""
+        context, the failed clauses and the details.
+
+        A passing report reads no context, so the checks build it only when
+        some clause failed and pass None otherwise.
+        """
         if not failures:
             return cls(name, True, details)
         return cls(
@@ -365,7 +372,9 @@ def check_width_bound(
         details["skew"] = [a, m]
         if not 2 * abs(b.x2) >= (2 * a + (s - 1) * m) * s:
             failures.append("height_skew")
-    return CheckReport.from_failures("width_bound", details, failures, {"slope": slope.to_obj()})
+    return CheckReport.from_failures(
+        "width_bound", details, failures, {"slope": slope.to_obj()} if failures else None
+    )
 
 
 def _ceil_half(x: int) -> int:
@@ -410,7 +419,9 @@ def check_projection_bound(prof: SlopeProfile) -> CheckReport:
             failures.append("projection_small_angle")
         if not 2 * n_edges <= v.x2 + w.x1 - _ceil_half(-w.x2) + 1:
             failures.append("projection_small_angle_plain")
-    return CheckReport.from_failures("projection_bound", details, failures, _context(prof))
+    return CheckReport.from_failures(
+        "projection_bound", details, failures, _context(prof) if failures else None
+    )
 
 
 def check_sublattice_projection_bound(prof: SlopeProfile, lattice: Sublattice) -> CheckReport:
@@ -423,7 +434,7 @@ def check_sublattice_projection_bound(prof: SlopeProfile, lattice: Sublattice) -
         failures.append("projection_sublattice")
     return CheckReport.from_failures(
         "sublattice_projection_bound", details, failures,
-        {**_context(prof), "lattice": lattice.to_obj()},
+        {**_context(prof), "lattice": lattice.to_obj()} if failures else None,
     )
 
 
@@ -468,7 +479,9 @@ def check_profile_ledger(
             failures.append("tail_bound")
     if lattice is not None and not prof.pihat >= 1:
         failures.append("pihat_positive")
-    return CheckReport.from_failures("profile_ledger", details, failures, _context(prof))
+    return CheckReport.from_failures(
+        "profile_ledger", details, failures, _context(prof) if failures else None
+    )
 
 
 # --- frames against whole polygons ------------------------------------------
@@ -522,5 +535,5 @@ def check_step_bounds(ms: MaximalSlopes, lattice: Sublattice) -> CheckReport:
     failures = [name for name, (g, b) in gaps.items() if g < b]
     return CheckReport.from_failures(
         "step_bounds", details, failures,
-        {"polygon": poly.to_obj(), "lattice": lattice.to_obj()},
+        {"polygon": poly.to_obj(), "lattice": lattice.to_obj()} if failures else None,
     )

@@ -53,8 +53,6 @@ from .slopes import (
     CheckReport,
     Frame,
     check_projection_bound,
-    check_step_bounds,
-    check_sublattice_projection_bound,
     frame_splits_maximal,
     maximal_slopes,
 )
@@ -519,7 +517,7 @@ def check_type_vertex_bound(
     failures = [] if len(poly) <= bound else ["vertex_bound"]
     return CheckReport.from_failures(
         "type_vertex_bound", details, failures,
-        {"polygon": poly.to_obj(), "tag": tag.kind},
+        {"polygon": poly.to_obj(), "tag": tag.kind} if failures else None,
     )
 
 
@@ -552,18 +550,20 @@ def type_ii_bound_pipeline(
         poly, TypeTag("II", n)
     ):
         raise ValueError("polygon is not in type II position")
+    # the one membership check: the step and sublattice projection clauses
+    # below are read here rather than through check_step_bounds and
+    # check_sublattice_projection_bound, which would check it again
     if not all(vertex_lattice.contains(v) for v in poly.vertices):
         raise ValueError("polygon vertices must belong to the claimed lattice")
     b = _b_parameter(vertex_lattice, n)
     failures = [f"corner_frame_{k}" for k, prof in profs.items() if prof is None]
     details: dict = {"n": n, "b": b, "vertices": len(poly)}
-    context = {"polygon": poly.to_obj(), "lattice": vertex_lattice.to_obj()}
     if failures:
         # every later step reads the four split slopes
-        return CheckReport.from_failures("type_ii_bound_pipeline", details, failures, context)
+        return _pipeline_report(details, failures, poly, vertex_lattice)
 
+    st = steps(vertex_lattice, E1, E2)
     if b == 2:
-        st = steps(vertex_lattice, E1, E2)
         details["large_steps"] = [st.large_f1, st.large_f2]
         if st.large_f1 < 2 or st.large_f2 < 2:
             failures.append("large_steps")
@@ -578,20 +578,16 @@ def type_ii_bound_pipeline(
         if 2 * prof.n_edges > bound:
             failures.append(f"slope_bound_{k}")
         if b == 0:
-            rep = check_projection_bound(prof)
+            check, ok = "projection_bound", check_projection_bound(prof).ok
         else:
-            rep = check_sublattice_projection_bound(prof, vertex_lattice)
-        if not rep.ok:
+            # the clause of check_sublattice_projection_bound; a lattice
+            # with b >= 1 is proper
+            check, ok = "sublattice_projection_bound", 2 * prof.n_edges <= v.x2 + w.x1 - 1
+        if not ok:
             failures.append(f"slope_check_{k}")
-        slope_rows.append(
-            {"k": k, "edges": prof.n_edges, "bound": bound, "check": rep.name}
-        )
+        slope_rows.append({"k": k, "edges": prof.n_edges, "bound": bound, "check": check})
     details["slopes"] = slope_rows
 
-    step_report = check_step_bounds(ms, vertex_lattice)
-    if not step_report.ok:
-        failures.append("step_bounds")
-    beta = (b * b - b + 2) // 2  # 1 for b in {0, 1}, 2 for b=2
     m_vals = (ms.m1, ms.m2, ms.m3, ms.m4)
     stats = ms.stats
     gaps = (
@@ -600,6 +596,11 @@ def type_ii_bound_pipeline(
         stats.north_plus - stats.north_minus,
         stats.west_plus - stats.west_minus,
     )
+    # the clause of check_step_bounds: a nondegenerate face spans a large step
+    large = (st.large_f1, st.large_f2, st.large_f1, st.large_f2)
+    if any(gap < step * m for gap, step, m in zip(gaps, large, m_vals)):
+        failures.append("step_bounds")
+    beta = (b * b - b + 2) // 2  # 1 for b in {0, 1}, 2 for b=2
     for idx, (gap, m) in enumerate(zip(gaps, m_vals), start=1):
         if gap < beta * m:
             failures.append(f"face_gap_{idx}")
@@ -621,6 +622,13 @@ def type_ii_bound_pipeline(
         failures.append("summed_chain")
     if not n_vertices <= 2 * n + 2 - 2 * b:
         failures.append("vertex_bound")
+    return _pipeline_report(details, failures, poly, vertex_lattice)
+
+
+def _pipeline_report(
+    details: dict, failures: list[str], poly: Polygon, vertex_lattice: Sublattice
+) -> CheckReport:
+    context = {"polygon": poly.to_obj(), "lattice": vertex_lattice.to_obj()} if failures else None
     return CheckReport.from_failures("type_ii_bound_pipeline", details, failures, context)
 
 
@@ -649,7 +657,7 @@ def check_pentagon_parity(poly: Polygon) -> CheckReport:
         if g + 1 < 3:
             failures.append("segment_points")
     return CheckReport.from_failures(
-        "pentagon_parity", details, failures, {"polygon": poly.to_obj()}
+        "pentagon_parity", details, failures, {"polygon": poly.to_obj()} if failures else None
     )
 
 

@@ -2,16 +2,29 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 import pytest
 
 import latfree
 from latfree import cli, polygon, reduction, slopes, verify
-from latfree.core import E1, E2, Mat2, Sublattice, Vec
-from latfree.polygon import DegenerateHullError, Polygon, convex_hull
+from latfree.core import E1, E2, ORIGIN, AffineMap, Mat2, Sublattice, Vec, primitive_to
+from latfree.polygon import (
+    DegenerateHullError,
+    Line,
+    Polygon,
+    Segment,
+    apply_affine,
+    chord_interval,
+    convex_hull,
+    lattice_points_in,
+    line_splits,
+    segment_splits,
+)
+from latfree.reduction import NormalizationResult, SplitProfile
 from latfree.slopes import Frame, Slope, slope_profile, validate_slope
 from latfree.verify import SearchBox, enumerate_free_polygons
 
@@ -112,6 +125,92 @@ def _dfs_from(cand: list, lpts: list, i0: int, states: set) -> Iterator[tuple]:
         chain.append((vx, vy))
         yield from extend(dx, dy, dx, dy)
         chain.pop()
+
+
+def diameter_pairs_oracle(pts: list[Vec]) -> tuple[int, tuple[Vec, Vec]]:
+    """The quadratic lattice-diameter pass over every pair of lexicographically
+    sorted points: the largest gcd of a difference and the first pair, in
+    lexicographic order, that reaches it."""
+    best, best_pair = -1, None
+    for i, p in enumerate(pts):
+        for q in pts[i + 1 :]:
+            g = math.gcd(q.x1 - p.x1, q.x2 - p.x2)
+            if g > best:
+                best, best_pair = g, (p, q)
+    return best, best_pair
+
+
+def _chord_cell_oracle(image: Polygon, x1: int, n: int) -> int:
+    chord = chord_interval(image, Line.vertical(x1))
+    if chord is None:
+        return 0
+    lo, hi = chord
+    u = math.floor(lo / n)
+    if not (u * n < lo and hi < (u + 1) * n):
+        raise AssertionError("chord touches a forbidden lattice point")
+    return u
+
+
+def normalize_oracle(poly: Polygon, n: int) -> NormalizationResult:
+    """Slab normalization in two applications: rotate and shift the polygon,
+    read its chords on x1 = 0 and x1 = n as fractions, then shear the moved
+    image."""
+    lattice = Sublattice.rectangular(n, n)
+    pts = lattice_points_in(poly)
+    if any(lattice.contains(p) for p in pts):
+        raise AssertionError("polygon not lattice-free")
+    _, (p, q) = diameter_pairs_oracle(pts)
+    d = q - p
+    g = math.gcd(d.x1, d.x2)
+    rotate = AffineMap(primitive_to(Vec(d.x1 // g, d.x2 // g), E2), ORIGIN)
+    shift_count, c = divmod(rotate(p).x1, n)
+    move = AffineMap.translate(Vec(-shift_count * n, 0)).compose(rotate)
+    image = apply_affine(poly, move)
+    u1, u2 = _chord_cell_oracle(image, 0, n), _chord_cell_oracle(image, n, n)
+    shear = AffineMap(Mat2(1, 0, u1 - u2, 1), Vec(0, -u1 * n))
+    return NormalizationResult(shear.compose(move), apply_affine(image, shear), c)
+
+
+def _split_index_oracle(image: Polygon, y: int, n: int) -> int:
+    hits = [
+        idx
+        for idx, (a, b) in enumerate([(-n, 0), (0, n), (n, 2 * n)], start=1)
+        if segment_splits(image, Segment(Vec(a, y), Vec(b, y)))
+    ]
+    if len(hits) > 1:
+        raise AssertionError("two unit segments of one line split a free polygon")
+    return hits[0] if hits else 0
+
+
+def classify_oracle(poly: Polygon, n: int) -> tuple:
+    """Classification one map at a time: normalize, reflect when only x1 = n
+    splits, read the split profile on the reflected image, then apply the
+    table row's step.
+
+    Returns ``(map, kind, image, profile, reflected)``; ``kind`` is None when
+    the table has no row, and then map and image stop before the step.
+    """
+    norm = normalize_oracle(poly, n)
+    image, total = norm.image, norm.map
+    left = line_splits(image, Line.vertical(0))
+    right = line_splits(image, Line.vertical(n))
+    if not left and not right:
+        return total, "I", image, SplitProfile("A", None, None), False
+    reflected = right and not left
+    if reflected:
+        refl = AffineMap(Mat2(-1, 0, 0, 1), Vec(n, 0))
+        image = apply_affine(image, refl)
+        total = refl.compose(total)
+        right = False
+    case = "C" if right else "B"
+    profile = SplitProfile(case, _split_index_oracle(image, 0, n), _split_index_oracle(image, n, n))
+    rows = reduction._CASE_C_ROWS if right else reduction._CASE_B_ROWS
+    row: Optional[tuple] = rows.get((profile.i, profile.j))
+    if row is None:
+        return total, None, image, profile, reflected
+    kind, linear, (t1, t2) = row
+    step = AffineMap(linear, Vec(t1 * n, t2 * n))
+    return step.compose(total), kind, apply_affine(image, step), profile, reflected
 
 
 def random_convex_polygon(rng: random.Random, span: int = 15, max_points: int = 12) -> Polygon:

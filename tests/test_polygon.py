@@ -303,6 +303,40 @@ class TestSplits:
         # in absolute coordinates the chord runs from x1 = 1/3 to x1 = 5/2
         assert (chord[0] * 3, chord[1] * 3) == (Fraction(1, 3), Fraction(5, 2))
 
+    def test_one_point_segment_rejected(self):
+        with pytest.raises(GeometryError, match="two distinct points"):
+            segment_splits(SQUARE, Segment(Vec(1, 1), Vec(1, 1)))
+
+    def test_split_tests_build_no_line(self, monkeypatch):
+        built = []
+        init = Line.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Line, "__init__", counting_init)
+        rng = random.Random(14)
+        for _ in range(100):
+            poly = random_convex_polygon(rng, span=6)
+            a = Vec(rng.randint(-7, 7), rng.randint(-7, 7))
+            b = Vec(rng.randint(-7, 7), rng.randint(-7, 7))
+            if a != b:
+                segment_splits(poly, Segment(a, b))
+                ray_splits(poly, a, b - a)
+        assert built == []
+        Line.vertical(0)
+        assert len(built) == 1
+
+    def test_contains_matches_lattice_points(self):
+        rng = random.Random(14)
+        for _ in range(50):
+            poly = random_convex_polygon(rng, span=6)
+            inside = set(lattice_points_in(poly))
+            for x in range(-7, 8):
+                for y in range(-7, 8):
+                    assert poly.contains(Vec(x, y)) == (Vec(x, y) in inside)
+
     def test_segment_implies_line(self):
         rng = random.Random(17)
         for _ in range(200):

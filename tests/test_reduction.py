@@ -1,7 +1,10 @@
+import collections
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latfree import reduction
 from latfree.core import E2, AffineMap, InvariantError, Sublattice, Vec, primitive_to
@@ -31,22 +34,20 @@ from latfree.reduction import (
     slab_normalize,
 )
 
-from conftest import count_calls, random_convex_polygon, random_unimodular
+from conftest import (
+    classify_oracle,
+    count_calls,
+    diameter_pairs_oracle,
+    normalize_oracle,
+    random_convex_polygon,
+    random_unimodular,
+)
 
 DIAMOND = Polygon([Vec(1, 0), Vec(2, 1), Vec(1, 2), Vec(0, 1)])
 QUAD = Polygon([Vec(1, -1), Vec(4, 1), Vec(2, 4), Vec(-1, 2)])
 OCTAGON = Polygon(
     [Vec(1, 0), Vec(2, 0), Vec(4, 1), Vec(4, 2), Vec(2, 3), Vec(1, 3), Vec(-1, 2), Vec(-1, 1)]
 )
-
-
-def diameter_oracle(poly: Polygon) -> int:
-    pts = lattice_points_in(poly)
-    return max(
-        math.gcd(q.x1 - p.x1, q.x2 - p.x2)
-        for i, p in enumerate(pts)
-        for q in pts[i + 1 :]
-    )
 
 
 class TestLatticeDiameter:
@@ -66,11 +67,39 @@ class TestLatticeDiameter:
         for _ in range(25):
             poly = random_convex_polygon(rng, span=7)
             wit = lattice_diameter(poly)
-            assert wit.length == diameter_oracle(poly)
+            assert wit.length == diameter_pairs_oracle(lattice_points_in(poly))[0]
             a, b = wit.segment
             assert poly.contains(a) and poly.contains(b)
             d = b - a
             assert math.gcd(d.x1, d.x2) == wit.length
+
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=9))
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_pass_matches_quadratic_oracle(self, points):
+        # a small grid makes ties common: the witness must be the first
+        # longest pair in lexicographic order, as the quadratic pass finds it
+        try:
+            poly = convex_hull(points)
+        except DegenerateHullError:
+            return
+        length, pair = diameter_pairs_oracle(lattice_points_in(poly))
+        assert lattice_diameter(poly) == (length, Segment(*pair))
+
+    def test_ties_keep_the_first_pair(self):
+        rng = random.Random(14)
+        tied = 0
+        for _ in range(300):
+            poly = random_convex_polygon(rng, span=4, max_points=8)
+            pts = lattice_points_in(poly)
+            length, pair = diameter_pairs_oracle(pts)
+            longest = sum(
+                math.gcd(q.x1 - p.x1, q.x2 - p.x2) == length
+                for i, p in enumerate(pts)
+                for q in pts[i + 1 :]
+            )
+            tied += longest > 1
+            assert lattice_diameter(poly) == (length, Segment(*pair))
+        assert tied >= 60
 
     def test_invariant_under_unimodular_maps(self):
         rng = random.Random(37)
@@ -297,10 +326,83 @@ def test_failed_type_one_is_a_miss(monkeypatch):
     assert exc.value.polygon == OCTAGON
 
 
+def _random_free_polygon(rng: random.Random, n: int, around_square: bool) -> Polygon:
+    lattice = Sublattice.rectangular(n, n)
+    while True:
+        if around_square:
+            # a point beyond three or four sides of the n-square, plus one
+            # of the closed square, for the rows where both x1 = 0 and
+            # x1 = n split
+            beyond = [
+                Vec(rng.randint(1, n - 1), -rng.randint(1, n)),
+                Vec(n + rng.randint(1, n), rng.randint(1, n - 1)),
+                Vec(rng.randint(1, n - 1), n + rng.randint(1, n)),
+                Vec(-rng.randint(1, n), rng.randint(1, n - 1)),
+            ]
+            pts = rng.sample(beyond, rng.randint(3, 4)) + [Vec(rng.randint(0, n), rng.randint(0, n))]
+        else:
+            pts = [Vec(rng.randint(-n, 2 * n), rng.randint(-n, 2 * n)) for _ in range(rng.randint(3, 6))]
+        try:
+            poly = convex_hull(pts)
+        except DegenerateHullError:
+            continue
+        if polygon_free_of(poly, lattice):
+            return poly
+
+
+@pytest.fixture(scope="module")
+def oracle_cases() -> list[tuple[Polygon, int]]:
+    # seeded free polygons for n = 2..5 (n = 2 only from the random window,
+    # where a point beyond each side always covers a corner) and every
+    # table row, each under a random automorphism of n*Z^2
+    rng = random.Random(14)
+    cases = []
+    for k in range(800):
+        n = 2 + (k // 2) % 4
+        cases.append((_random_free_polygon(rng, n, k % 2 == 0 and n > 2), n))
+    cases += [(Polygon([Vec(*v) for v in vertices]), n) for _, _, n, vertices, _ in ROW_INSTANCES]
+    moved = []
+    for poly, n in cases:
+        m = AffineMap(random_unimodular(rng), Vec(n * rng.randint(-3, 3), n * rng.randint(-3, 3)))
+        moved.append((apply_affine(poly, m), n))
+    return moved
+
+
+def test_one_application_matches_the_two_step_oracle(oracle_cases):
+    seen = collections.Counter()
+    for poly, n in oracle_cases:
+        assert slab_normalize(poly, n) == normalize_oracle(poly, n)
+        total, kind, image, profile, reflected = classify_oracle(poly, n)
+        seen[profile.case, reflected] += 1
+        if kind is None or not satisfies_type(image, TypeTag(kind, n)):
+            with pytest.raises(ClassificationError) as exc:
+                classify_type(poly, n)
+            assert exc.value.profile == profile
+            continue
+        assert reduction._classify(poly, n) == (total, TypeTag(kind, n), image)
+    # reflected case B rows and case C rows both occur
+    assert seen["B", True] >= 100 and seen["C", False] >= 30 and seen["B", False] >= 100
+
+
+def test_classify_applies_the_map_at_most_twice(monkeypatch, oracle_cases):
+    # once in slab_normalize, and once more only when the finishing map
+    # (the reflection and the row's step) is not the identity
+    counts = collections.Counter()
+    for poly, n in oracle_cases[::4]:
+        norm_map = slab_normalize(poly, n).map
+        with monkeypatch.context() as m:
+            calls = count_calls(m, "apply_affine")
+            mapping, _ = classify_type(poly, n)
+        identity = mapping == norm_map
+        assert len(calls) == (1 if identity else 2)
+        counts[identity] += 1
+    assert counts[True] >= 20 and counts[False] >= 20
+
+
 def test_chord_guard_raises_without_assert():
     square = Polygon([Vec(-1, -1), Vec(1, -1), Vec(1, 1), Vec(-1, 1)])
     with pytest.raises(InvariantError, match="forbidden lattice point"):
-        reduction._chord_cell_index(square, 0, 2)
+        reduction._chord_cell_index(square.vertices, 0, 2)
 
 
 class TestDiameterSlabBound:

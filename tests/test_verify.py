@@ -18,6 +18,7 @@ from latfree.polygon import (
     polygon_free_of,
 )
 from latfree.reduction import TypeTag, classify_type, satisfies_type
+from latfree.slopes import Slope
 from latfree.verify import (
     SearchBox,
     check_pentagon_parity,
@@ -308,6 +309,30 @@ class TestTypeVertexBound:
         with pytest.raises(ValueError):
             check_type_vertex_bound(QUAD, TypeTag("II", 3), Sublattice.rectangular(3, 3))
 
+    def test_failing_report(self):
+        # a (1, 3)-lattice allows 2n - 2 = 4 vertices
+        poly = Polygon([Vec(0, 0), Vec(1, 0), Vec(3, 3), Vec(1, 6), Vec(-2, 3)])
+        rep = check_type_vertex_bound(poly, TypeTag("III", 3), Sublattice.rectangular(1, 3))
+        assert rep.to_obj() == {
+            "counterexample": {
+                "polygon": {"vertices": [[-2, 3], [0, 0], [1, 0], [3, 3], [1, 6]]},
+                "tag": "III",
+                "failed": ["vertex_bound"],
+                "n": 3, "b": 2, "vertices": 5, "bound": 4,
+            }
+        }
+
+
+# passing type II instances with vertices in Z^2, a (1, 2)- and a (1, 5)-lattice
+TYPE_II_CASES = [
+    (QUAD, 3, Sublattice.zsquare()),
+    (Polygon([Vec(-1, 3), Vec(1, -1), Vec(5, 1), Vec(3, 5)]), 4,
+     Sublattice.from_matrix(Mat2(1, -2, -1, 4))),
+    (Polygon([Vec(-1, 3), Vec(2, -1), Vec(6, 2), Vec(3, 6)]), 5,
+     Sublattice.from_matrix(Mat2(-2, -5, 1, 0))),
+]
+TYPE_II_IDS = ["b0-quad", "b1", "b2"]
+
 
 class TestTypeIIPipeline:
     def test_documented_quad(self):
@@ -338,17 +363,7 @@ class TestTypeIIPipeline:
         with pytest.raises(ValueError, match="type II"):
             type_ii_bound_pipeline(DIAMOND, 3, Sublattice.zsquare())
 
-    @pytest.mark.parametrize(
-        "poly, n, lattice",
-        [
-            (QUAD, 3, Sublattice.zsquare()),
-            (Polygon([Vec(-1, 3), Vec(1, -1), Vec(5, 1), Vec(3, 5)]), 4,
-             Sublattice.from_matrix(Mat2(1, -2, -1, 4))),
-            (Polygon([Vec(-1, 3), Vec(2, -1), Vec(6, 2), Vec(3, 6)]), 5,
-             Sublattice.from_matrix(Mat2(-2, -5, 1, 0))),
-        ],
-        ids=["b0-quad", "b1", "b2"],
-    )
+    @pytest.mark.parametrize("poly, n, lattice", TYPE_II_CASES, ids=TYPE_II_IDS)
     def test_slope_facts_computed_once(self, monkeypatch, poly, n, lattice):
         slopes_calls = count_calls(monkeypatch, "maximal_slopes")
         profile_calls = count_calls(monkeypatch, "slope_profile")
@@ -363,6 +378,39 @@ class TestTypeIIPipeline:
         # asked and the maximal slopes take the only bounding stats
         assert type_calls == []
         assert len(stats_calls) == 1
+
+    @pytest.mark.parametrize("poly, n, lattice", TYPE_II_CASES, ids=TYPE_II_IDS)
+    def test_vertex_lattice_checked_once(self, monkeypatch, poly, n, lattice):
+        calls = []
+        contains = Sublattice.contains
+
+        def counting_contains(self, p):
+            calls.append(p)
+            return contains(self, p)
+
+        monkeypatch.setattr(Sublattice, "contains", counting_contains)
+        assert type_ii_bound_pipeline(poly, n, lattice).ok
+        assert sorted(calls) == sorted(poly.vertices)
+
+    @pytest.mark.parametrize("poly, n, lattice", TYPE_II_CASES, ids=TYPE_II_IDS)
+    def test_passing_checks_serialize_nothing(self, monkeypatch, poly, n, lattice):
+        # a passing report has no counterexample, so no context is built
+        calls = []
+        for cls in (Polygon, Slope):
+            original = cls.to_obj
+
+            def counting_to_obj(self, _original=original):
+                calls.append(type(self).__name__)
+                return _original(self)
+
+            monkeypatch.setattr(cls, "to_obj", counting_to_obj)
+        assert type_ii_bound_pipeline(poly, n, lattice).ok
+        assert check_type_vertex_bound(poly, TypeTag("II", n), lattice).ok
+        assert calls == []
+        # a failing report still carries the polygon
+        held = Polygon([Vec(-1, 2), Vec(1, -1), Vec(5, 1), Vec(3, 3), Vec(1, 4)])
+        assert not type_ii_bound_pipeline(held, 3, Sublattice.zsquare()).ok
+        assert calls == ["Polygon"]
 
     def test_failed_corner_frames_end_the_pipeline(self):
         # type II position, but (3, 0), (3, 3) and (0, 3) lie in the polygon,
