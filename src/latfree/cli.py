@@ -232,6 +232,14 @@ def _cmd_check_bounds(args) -> int:
     return _finish_checks(reports, args.out, {"type": tag.kind, "n": tag.n, "checks": checks})
 
 
+class _VertexText(dict):
+    """The JSON text ``"[x1, x2]"`` of each vertex, made on first use."""
+
+    def __missing__(self, v: Vec) -> str:
+        text = self[v] = "[%d, %d]" % v
+        return text
+
+
 def _cmd_enumerate(args) -> int:
     lattice = _load_lattice(args.lattice)
     box = SearchBox.parse(args.box)
@@ -240,10 +248,11 @@ def _cmd_enumerate(args) -> int:
     found: Optional[list] = [] if args.out else None
     count = 0
     write = sys.stdout.write
+    text = _VertexText().__getitem__
     for poly in enumerate_free_polygons(lattice, box, args.min_vertices):
         # json.dumps(poly.to_obj()) plus "\n", built directly: every line
         # has this shape and the coordinates are ints
-        write('{"vertices": [%s]}\n' % ", ".join(["[%d, %d]" % v for v in poly.vertices]))
+        write('{"vertices": [%s]}\n' % ", ".join(map(text, poly.vertices)))
         count += 1
         if found is not None:
             found.append(poly.to_obj())

@@ -271,8 +271,12 @@ class Sublattice:
 
     @classmethod
     def from_matrix(cls, basis: Mat2) -> "Sublattice":
+        # the factors come from the basis itself, so the constructor's
+        # check would only compute them again
         delta, n = invariant_factors(basis)
-        return cls(basis, delta, n)
+        lattice = object.__new__(cls)
+        lattice.__dict__.update(basis=basis, delta=delta, n=n)
+        return lattice
 
     @classmethod
     def rectangular(cls, delta: int, n: int) -> "Sublattice":

@@ -31,10 +31,10 @@ and one witness off the DP.  ``chains_explored`` counts the states, the
 last edges, that a chain search from p reaches, edges with no completion
 included; a second pass, in increasing rank, counts them.  The stream
 (``enumerate``) walks the DP's live edges depth-first and enters only
-states with a completion of at least ``min_vertices`` vertices, so every
-state it enters lies on an emitted polygon and its cost follows the
-output.  The plain chain DFS that the DP replaced is kept in the tests as
-the oracle both are checked against.
+states that have a successor and a completion of at least
+``min_vertices`` vertices, so every state it enters lies on an emitted
+polygon and its cost follows the output.  The plain chain DFS that the
+DP replaced is kept in the tests as the oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ from functools import cmp_to_key
 from typing import Iterator, NamedTuple, Optional
 
 from .core import E1, E2, InvariantError, Sublattice, Vec, steps
-from .polygon import Polygon, lattice_points_in, polygon_free_of
-from .reduction import TypeTag, satisfies_type
+from .polygon import Polygon, Segment, lattice_points_in, polygon_free_of, segment_splits
+from .reduction import TypeTag
 from .slopes import (
     CheckReport,
     Frame,
     check_projection_bound,
-    frame_splits_maximal,
     maximal_slopes,
+    slope_profile,
 )
 
 
@@ -390,7 +390,9 @@ def enumerate_free_polygons(
         # of min_v or more vertices are entered.  Such a chain closes
         # itself once it has three vertices: its polygon keeps some
         # vertices of a free convex polygon in their cyclic order, so it
-        # is convex and free too, and it is emitted at min_v vertices.
+        # is convex and free too, and it is emitted at min_v vertices.  A
+        # successor's window is empty exactly when its longest completion
+        # is 0, so only states with a nonempty window are entered.
         key = (x, lo, hi)
         succ = windows.get(key)
         if succ is None:
@@ -400,14 +402,16 @@ def enumerate_free_polygons(
                 chain.append(tail[b])
                 if len(chain) >= min_v:
                     yield Polygon(chain)
-                yield from walk(b, blo, bhi)
+                if longest:
+                    yield from walk(b, blo, bhi)
                 chain.pop()
 
     for i0 in range(len(grid.cand)):
         tail, out, _, _ = _fan_dp(grid, i0)
-        windows: dict = {}
-        chain = [grid.cand[i0]]
-        yield from walk(len(tail), 0, len(out[-1]))
+        if out[-1]:
+            windows: dict = {}
+            chain = [grid.cand[i0]]
+            yield from walk(len(tail), 0, len(out[-1]))
 
 
 def _longest(grid: _Grid, i0: int) -> tuple:
@@ -538,18 +542,25 @@ def type_ii_bound_pipeline(
         3: Frame(Vec(0, n), E1, -E2),
         4: Frame(Vec(0, 0), E1, E2),
     }
-    ms = maximal_slopes(poly)
-    profs = {k: frame_splits_maximal(ms, frame) for k, frame in frames.items()}
-    # A profile needs both rays of its frame to split the polygon.  The
-    # eight corner rays are the four sides of the n-square, each run from
-    # both of its ends, and a side splits the polygon exactly when both of
-    # its rays do: the chord then starts at or after one end and stops at
-    # or before the other.  So four profiles put the polygon in type II
-    # position, and the clause is asked only when some frame fails.
-    if any(prof is None for prof in profs.values()) and not satisfies_type(
-        poly, TypeTag("II", n)
+    # the type II clause: each side of the n-square splits the polygon
+    # with its chord inside the side
+    corners = [frame.origin for frame in frames.values()]
+    if not all(
+        segment_splits(poly, Segment(a, b)) for a, b in zip(corners, corners[1:] + corners[:1])
     ):
         raise ValueError("polygon is not in type II position")
+    ms = maximal_slopes(poly)
+    # The two rays of a corner frame run along the sides at its corner, so
+    # both split the polygon, and the frame splits maximal slope k unless
+    # the polygon holds the corner.
+    profs: dict = {}
+    for k, frame in frames.items():
+        prof = None
+        if not poly.contains(frame.origin):
+            prof = slope_profile(frame, ms.slope(k))
+            if prof is None:
+                raise InvariantError(f"frame does not split maximal slope {k}")
+        profs[k] = prof
     # the one membership check: the step and sublattice projection clauses
     # below are read here rather than through check_step_bounds and
     # check_sublattice_projection_bound, which would check it again

@@ -171,18 +171,47 @@ def test_enumerate_out_matches_stream(files, capsys):
     assert report["polygons"] == [json.loads(line) for line in streamed.out.splitlines()]
 
 
-@pytest.mark.parametrize("min_vertices", [3, 6])
-def test_enumerate_stream_bytes(files, capsysbinary, min_vertices):
+@pytest.mark.parametrize(
+    "factors, box, min_vertices, with_out",
+    [
+        # the --out report of the largest stream would spend seconds in
+        # json's indenting encoder; the next case runs it on the same box
+        pytest.param((3, 3), "-2,5,-1,4", 3, False, id="3"),
+        pytest.param((3, 3), "-2,5,-1,4", 6, True, id="6"),
+        pytest.param((2, 4), "0,5,0,5", 3, True, id="2x4"),
+        pytest.param((1, 3), "-6,-1,-5,-1", 3, True, id="negative-box"),
+        # nu = 9 for (3, 3): no polygon has that many vertices
+        pytest.param((3, 3), "-2,5,-1,4", 9, True, id="above-max"),
+    ],
+)
+def test_enumerate_stream_bytes(files, capsysbinary, factors, box, min_vertices, with_out):
     tmp, write = files
-    lattice = write("lat.json", {"delta": 3, "n": 3})
-    argv = ["enumerate", "--lattice", lattice, "--box", "-2,5,-1,4", "--min-vertices", str(min_vertices)]
+    lattice = write("lat.json", {"delta": factors[0], "n": factors[1]})
+    argv = ["enumerate", "--lattice", lattice, "--box", box, "--min-vertices", str(min_vertices)]
     assert run(argv) == 0
     polygons = list(
-        enumerate_free_polygons(Sublattice.rectangular(3, 3), SearchBox(-2, 5, -1, 4), min_vertices)
+        enumerate_free_polygons(
+            Sublattice.rectangular(*factors), SearchBox.parse(box), min_vertices
+        )
     )
     captured = capsysbinary.readouterr()
     assert captured.out == "".join(json.dumps(p.to_obj()) + "\n" for p in polygons).encode()
     assert captured.err == f"found {len(polygons)} polygons\n".encode()
+    if min_vertices == 9:
+        assert captured.out == b"" and captured.err == b"found 0 polygons\n"
+    if not with_out:
+        return
+    # --out changes neither stream and keeps every polygon's object
+    out = tmp / "polygons.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsysbinary.readouterr() == captured
+    report = {
+        "box": [int(c) for c in box.split(",")],
+        "count": len(polygons),
+        "lattice": {"delta": factors[0], "n": factors[1]},
+        "polygons": [p.to_obj() for p in polygons],
+    }
+    assert json.loads(out.read_text()) == report
 
 
 def test_enumerate_serializes_only_for_out(files, capsys, monkeypatch):

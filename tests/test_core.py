@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latfree import core
 from latfree.core import (
     E1,
     E2,
@@ -287,6 +288,35 @@ class TestBigIntegers:
         g, x, y = xgcd(2**80 + 1, 2**40 - 3)
         assert g == math.gcd(2**80 + 1, 2**40 - 3)
         assert (2**80 + 1) * x + (2**40 - 3) * y == g
+
+
+class TestSublatticeFactors:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Sublattice.from_matrix(Mat2(1, 0, 1, 3)), lambda: Sublattice.rectangular(2, 6)],
+        ids=["from_matrix", "rectangular"],
+    )
+    def test_factors_computed_once(self, monkeypatch, build):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return invariant_factors(m)
+
+        monkeypatch.setattr(core, "invariant_factors", counting)
+        lat = build()
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # the same lattice as the checked constructor builds
+        checked = Sublattice(lat.basis, *invariant_factors(lat.basis))
+        assert lat == checked and hash(lat) == hash(checked)
+
+    def test_direct_construction_checks_factors(self):
+        with pytest.raises(LatticeError, match="invariant factors"):
+            Sublattice(Mat2(2, 0, 0, 2), 1, 4)
+        with pytest.raises(LatticeError, match="invariant factors"):
+            Sublattice(Mat2(1, 0, 1, 3), 3, 1)
+        assert Sublattice(Mat2(2, 0, 0, 2), 2, 2) == Sublattice.rectangular(2, 2)
 
 
 class TestLatticeJson:

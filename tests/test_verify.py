@@ -32,6 +32,7 @@ from latfree.verify import (
     verify_vertex_threshold,
 )
 
+from latfree import verify
 from conftest import count_calls, dfs_chains
 
 DIAMOND = Polygon([Vec(1, 0), Vec(2, 1), Vec(1, 2), Vec(0, 1)])
@@ -127,6 +128,21 @@ class TestEnumerate:
                     brute.add(hull)
         got = set(enumerate_free_polygons(lattice, box, 3))
         assert got == brute
+
+    def test_walk_enters_no_leaf_state(self, monkeypatch):
+        # The walk sorts the successor window of a state the first time it
+        # enters it; the DP's own sorts take a range or a dict.
+        windows = []
+
+        def recording_sorted(items, **kwargs):
+            if isinstance(items, list):
+                windows.append(items)
+            return sorted(items, **kwargs)
+
+        monkeypatch.setattr(verify, "sorted", recording_sorted, raising=False)
+        lattice, box = Sublattice.rectangular(3, 3), SearchBox(-2, 5, -1, 4)
+        assert sum(1 for _ in enumerate_free_polygons(lattice, box)) == 39712
+        assert windows and all(windows)
 
     def test_every_emitted_polygon_is_free(self):
         lattice = Sublattice.rectangular(2, 2)
@@ -332,6 +348,8 @@ TYPE_II_CASES = [
      Sublattice.from_matrix(Mat2(-2, -5, 1, 0))),
 ]
 TYPE_II_IDS = ["b0-quad", "b1", "b2"]
+# in type II position for n = 3, and holding the corners (3, 0), (3, 3), (0, 3)
+HELD_CORNERS = Polygon([Vec(-1, 2), Vec(1, -1), Vec(5, 1), Vec(3, 3), Vec(1, 4)])
 
 
 class TestTypeIIPipeline:
@@ -408,15 +426,28 @@ class TestTypeIIPipeline:
         assert check_type_vertex_bound(poly, TypeTag("II", n), lattice).ok
         assert calls == []
         # a failing report still carries the polygon
-        held = Polygon([Vec(-1, 2), Vec(1, -1), Vec(5, 1), Vec(3, 3), Vec(1, 4)])
-        assert not type_ii_bound_pipeline(held, 3, Sublattice.zsquare()).ok
+        assert not type_ii_bound_pipeline(HELD_CORNERS, 3, Sublattice.zsquare()).ok
         assert calls == ["Polygon"]
+
+    @pytest.mark.parametrize(
+        "poly, n, lattice",
+        TYPE_II_CASES + [(HELD_CORNERS, 3, Sublattice.zsquare())],
+        ids=TYPE_II_IDS + ["held-corners"],
+    )
+    def test_each_side_tested_once(self, monkeypatch, poly, n, lattice):
+        # the four sides of the n-square settle type II position and the
+        # corner frames' rays; no side is tested again
+        side_calls = count_calls(monkeypatch, "segment_splits")
+        ray_calls = count_calls(monkeypatch, "ray_splits")
+        type_calls = count_calls(monkeypatch, "satisfies_type")
+        type_ii_bound_pipeline(poly, n, lattice)
+        assert len(side_calls) == 4
+        assert ray_calls == [] and type_calls == []
 
     def test_failed_corner_frames_end_the_pipeline(self):
         # type II position, but (3, 0), (3, 3) and (0, 3) lie in the polygon,
         # so three corner frames split nothing and no slope profile exists
-        poly = Polygon([Vec(-1, 2), Vec(1, -1), Vec(5, 1), Vec(3, 3), Vec(1, 4)])
-        rep = type_ii_bound_pipeline(poly, 3, Sublattice.zsquare())
+        rep = type_ii_bound_pipeline(HELD_CORNERS, 3, Sublattice.zsquare())
         assert not rep.ok
         assert rep.counterexample["failed"] == ["corner_frame_1", "corner_frame_2", "corner_frame_3"]
 
