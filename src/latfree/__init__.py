@@ -13,7 +13,6 @@ from .core import (
     Vec,
     invariant_factors,
     primitive_to,
-    smith_normal_form,
     steps,
 )
 from .polygon import (
@@ -40,8 +39,6 @@ from .reduction import (
     NotLatticeFreeError,
     SplitProfile,
     TypeTag,
-    check_diameter_slab_bound,
-    check_split_exclusion,
     classify_type,
     lattice_diameter,
     satisfies_type,
@@ -56,10 +53,8 @@ from .slopes import (
     SlopeProfile,
     check_profile_ledger,
     check_projection_bound,
-    check_step_bounds,
     check_sublattice_projection_bound,
     check_width_bound,
-    frame_splits_maximal,
     maximal_slopes,
     slope_profile,
     validate_slope,
@@ -67,7 +62,6 @@ from .slopes import (
 from .verify import (
     SearchBox,
     VerificationReport,
-    check_pentagon_parity,
     check_type_vertex_bound,
     construct_extremal,
     critical_vertex_count,

@@ -39,9 +39,6 @@ class Vec(NamedTuple):
     def __neg__(self) -> "Vec":
         return Vec(-self.x1, -self.x2)
 
-    def scaled(self, k: int) -> "Vec":
-        return Vec(k * self.x1, k * self.x2)
-
     def cross(self, other: "Vec") -> int:
         return self.x1 * other.x2 - self.x2 * other.x1
 
@@ -96,14 +93,6 @@ class Mat2(NamedTuple):
     def from_columns(cls, c1: Vec, c2: Vec) -> "Mat2":
         return cls(c1.x1, c2.x1, c1.x2, c2.x2)
 
-    @property
-    def col1(self) -> Vec:
-        return Vec(self.a11, self.a21)
-
-    @property
-    def col2(self) -> Vec:
-        return Vec(self.a12, self.a22)
-
     def det(self) -> int:
         return self.a11 * self.a22 - self.a12 * self.a21
 
@@ -157,82 +146,6 @@ def invariant_factors(m: Mat2) -> tuple[int, int]:
         raise LatticeError("degenerate lattice: basis matrix is singular")
     delta = math.gcd(m.a11, m.a12, m.a21, m.a22)
     return delta, abs(d) // delta
-
-
-def smith_normal_form(m: Mat2) -> tuple[Mat2, Mat2, Mat2]:
-    """Return unimodular (U, D, V) with U @ m @ V = D = diag(delta, n), delta | n."""
-    if m.det() == 0:
-        raise LatticeError("degenerate lattice: basis matrix is singular")
-    d11, d12, d21, d22 = m
-    u = Mat2.identity()
-    v = Mat2.identity()
-
-    def row_reduce() -> None:
-        # zero out d21; plain elimination when d11 already divides it,
-        # otherwise a Bezout row operation that shrinks |d11| to the gcd
-        nonlocal d11, d12, d21, d22, u
-        if d21 % d11 == 0:
-            k = d21 // d11
-            d21, d22 = 0, d22 - k * d12
-            u = Mat2(1, 0, -k, 1) @ u
-        else:
-            g, x, y = xgcd(d11, d21)
-            r = Mat2(x, y, -d21 // g, d11 // g)
-            d11, d12, d21, d22 = (
-                g,
-                x * d12 + y * d22,
-                0,
-                (-d21 // g) * d12 + (d11 // g) * d22,
-            )
-            u = r @ u
-
-    def col_reduce() -> None:
-        # zero out d12 with the mirrored column operations
-        nonlocal d11, d12, d21, d22, v
-        if d12 % d11 == 0:
-            k = d12 // d11
-            d12, d22 = 0, d22 - k * d21
-            v = v @ Mat2(1, -k, 0, 1)
-        else:
-            g, x, y = xgcd(d11, d12)
-            c = Mat2(x, -(d12 // g), y, d11 // g)
-            d11, d12, d21, d22 = (
-                g,
-                0,
-                x * d21 + y * d22,
-                (-(d12 // g)) * d21 + (d11 // g) * d22,
-            )
-            v = v @ c
-
-    def diagonalize() -> None:
-        nonlocal d11, d12, d21, d22, u, v
-        while d21 != 0 or d12 != 0:
-            if d11 == 0:
-                if d21 != 0:
-                    d11, d12, d21, d22 = d21, d22, d11, d12
-                    u = Mat2(0, 1, 1, 0) @ u
-                else:
-                    d11, d12, d21, d22 = d12, d11, d22, d21
-                    v = v @ Mat2(0, 1, 1, 0)
-            if d21 != 0:
-                row_reduce()
-            if d12 != 0:
-                col_reduce()
-
-    diagonalize()
-    if d22 % d11 != 0:
-        # fold column 2 into column 1 and reduce again to enforce divisibility
-        d11, d21 = d11 + d12, d21 + d22
-        v = v @ Mat2(1, 0, 1, 1)
-        diagonalize()
-
-    if d11 < 0:
-        d11 = -d11
-        u = Mat2(-1, 0, 0, 1) @ u
-    if d22 < 0:
-        d22 = -d22
-        u = Mat2(1, 0, 0, -1) @ u
-    return u, Mat2(d11, 0, 0, d22), v
 
 
 def _map_to_first_axis(v: Vec) -> Mat2:
@@ -352,10 +265,6 @@ class AffineMap:
     @classmethod
     def identity(cls) -> "AffineMap":
         return cls(Mat2.identity(), ORIGIN)
-
-    @classmethod
-    def translate(cls, v: Vec) -> "AffineMap":
-        return cls(Mat2.identity(), v)
 
     def __call__(self, p: Vec) -> Vec:
         return self.linear.mul_vec(p) + self.translation

@@ -5,15 +5,13 @@ predicates are computed in integer arithmetic, never floats: the
 :class:`Polygon` constructor checks convexity and winding in one pass over
 the vertex coordinates, lattice rows are clipped by integer floor and
 ceiling division, and a chord's rational end parameters stay
-numerator/denominator pairs compared by cross-multiplication.  Only
-:func:`chord_interval` hands them out as ``Fraction``.
+numerator/denominator pairs compared by cross-multiplication.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from .core import AffineMap, InvariantError, Sublattice, Vec, int_pairs
@@ -46,17 +44,6 @@ class Line:
     @classmethod
     def horizontal(cls, c: int) -> "Line":
         return cls(Vec(0, c), Vec(1, 0))
-
-    @classmethod
-    def through(cls, p: Vec, q: Vec) -> "Line":
-        if p == q:
-            raise GeometryError("line needs two distinct points")
-        return cls(p, q - p)
-
-    def side(self, p: Vec) -> int:
-        """Sign of the oriented position of p: +1 left, -1 right, 0 on the line."""
-        c = self.direction.cross(p - self.anchor)
-        return (c > 0) - (c < 0)
 
 
 _new = tuple.__new__
@@ -279,9 +266,9 @@ def _line_splits(verts, ox: int, oy: int, dx: int, dy: int) -> bool:
 
 
 def _chord(verts, ox: int, oy: int, dx: int, dy: int) -> Optional[tuple[int, int, int, int]]:
-    """Integer core of :func:`chord_interval` on the line (ox, oy) + t*(dx, dy),
-    for a counter-clockwise vertex sequence: ``(lo_num, lo_den, hi_num,
-    hi_den)`` with positive denominators, or None when the line misses.
+    """Parameter interval of a counter-clockwise vertex sequence on the line
+    (ox, oy) + t*(dx, dy): ``(lo_num, lo_den, hi_num, hi_den)`` with
+    positive denominators, or None when the line misses.
 
     Each edge bounds the parameter t on one side by -alpha/beta; the bounds
     are compared by cross-multiplication.
@@ -318,19 +305,6 @@ def _split_chord(verts, ox: int, oy: int, dx: int, dy: int) -> Optional[tuple[in
     return chord
 
 
-def chord_interval(poly: Polygon, line: Line) -> Optional[tuple[Fraction, Fraction]]:
-    """Parameter interval of ``poly`` on the line ``anchor + t*direction``.
-
-    Returns None when the line misses the polygon.
-    """
-    (ox, oy), (dx, dy) = line.anchor, line.direction
-    chord = _chord(poly.vertices, ox, oy, dx, dy)
-    if chord is None:
-        return None
-    lo_num, lo_den, hi_num, hi_den = chord
-    return Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
-
-
 def segment_splits(poly: Polygon, seg: Segment) -> bool:
     """True iff the supporting line splits the polygon and the chord lies within the segment."""
     (ax, ay), (bx, by) = seg
@@ -338,13 +312,6 @@ def segment_splits(poly: Polygon, seg: Segment) -> bool:
         raise GeometryError("line needs two distinct points")
     chord = _split_chord(poly.vertices, ax, ay, bx - ax, by - ay)
     return chord is not None and chord[0] >= 0 and chord[2] <= chord[3]
-
-
-def ray_splits(poly: Polygon, origin: Vec, direction: Vec) -> bool:
-    """True iff the supporting line splits the polygon and the chord lies on the ray."""
-    (ox, oy), (dx, dy) = origin, direction
-    chord = _split_chord(poly.vertices, ox, oy, dx, dy)
-    return chord is not None and chord[0] >= 0
 
 
 def apply_affine(poly: Polygon, m: AffineMap) -> Polygon:

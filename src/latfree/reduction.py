@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .core import E2, ORIGIN, AffineMap, InvariantError, Mat2, Sublattice, Vec, primitive_to
+from .core import E2, AffineMap, InvariantError, Mat2, Sublattice, Vec, primitive_to
 from .polygon import (
     Line,
     Polygon,
@@ -184,43 +184,6 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
     if not full.is_automorphism_of(lattice):
         raise InvariantError("normalizing map is not an automorphism of n*Z^2")
     return NormalizationResult(full, image, c)
-
-
-def check_diameter_slab_bound(poly: Polygon) -> bool:
-    """Width bound from the lattice diameter, for a polygon containing
-    (0,0) and (0, diameter).
-
-    True iff the polygon lies in |x1| <= diameter + 2 and no integer point
-    of the polygon sits on the lines x1 = +-(diameter + 1).
-    """
-    ell = lattice_diameter(poly).length
-    if not (poly.contains(ORIGIN) and poly.contains(Vec(0, ell))):
-        raise ValueError("polygon must contain (0,0) and (0, diameter)")
-    stats = bounding_stats(poly)
-    if stats.west < -(ell + 2) or stats.east > ell + 2:
-        return False
-    for x1 in (ell + 1, -(ell + 1)):
-        chord = _chord(poly.vertices, x1, 0, 0, 1)
-        if chord is not None:
-            lo_num, lo_den, hi_num, hi_den = chord
-            if hi_num // hi_den >= -(-lo_num // lo_den):
-                return False
-    return True
-
-
-def check_split_exclusion(poly: Polygon, n: int) -> bool:
-    """The two diagonal pairs of outer unit-square segments cannot both split.
-
-    True iff neither {[(0,n),(-n,n)], [(n,0),(2n,0)]} nor
-    {[(0,0),(-n,0)], [(n,n),(2n,n)]} is a pair of simultaneous splitters.
-    """
-    pair1 = segment_splits(poly, Segment(Vec(0, n), Vec(-n, n))) and segment_splits(
-        poly, Segment(Vec(n, 0), Vec(2 * n, 0))
-    )
-    pair2 = segment_splits(poly, Segment(Vec(0, 0), Vec(-n, 0))) and segment_splits(
-        poly, Segment(Vec(n, n), Vec(2 * n, n))
-    )
-    return not pair1 and not pair2
 
 
 # --- type predicates -------------------------------------------------------

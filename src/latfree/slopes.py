@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import E1, E2, InvariantError, Mat2, Sublattice, Vec, int_pairs, steps
-from .polygon import BoundingStats, Polygon, _new, bounding_stats, ray_splits
+from .polygon import BoundingStats, Polygon, _new, bounding_stats
 
 
 class SlopeError(ValueError):
@@ -111,9 +111,9 @@ class MaximalSlopes:
     q4 runs counter-clockwise from the west-bottom corner to the south-left
     corner in basis (e1, e2); q1, q2, q3 continue around in the rotated
     bases.  m1..m4 flag nondegenerate bottom/right/top/left faces.  The
-    polygon and its bounding stats are kept, so build this once with
-    :func:`maximal_slopes` and pass it to :func:`frame_splits_maximal` and
-    :func:`check_step_bounds`.
+    polygon and its bounding stats are kept, so one build with
+    :func:`maximal_slopes` gives the type II pipeline the slopes, the face
+    flags and the face widths it reads.
     """
 
     q1: Slope
@@ -481,59 +481,4 @@ def check_profile_ledger(
         failures.append("pihat_positive")
     return CheckReport.from_failures(
         "profile_ledger", details, failures, _context(prof) if failures else None
-    )
-
-
-# --- frames against whole polygons ------------------------------------------
-
-_AXIS_FRAME_TO_SLOPE: dict[tuple[Vec, Vec], int] = {
-    (-E1, E2): 1, (E2, -E1): 1,
-    (-E2, -E1): 2, (-E1, -E2): 2,
-    (E1, -E2): 3, (-E2, E1): 3,
-    (E2, E1): 4, (E1, E2): 4,
-}
-
-
-def frame_splits_maximal(ms: MaximalSlopes, frame: Frame) -> Optional[SlopeProfile]:
-    """The profile of the maximal slope of ``ms.polygon`` that a signed-axis
-    frame splits.
-
-    Requires the origin outside the polygon and both frame rays to split it
-    as chords; returns None when those preconditions fail, else the profile
-    of the k-th maximal slope, the one the frame's axis directions select
-    (``prof.slope is ms.slope(k)``), which the frame is then guaranteed to
-    split.
-    """
-    key = (frame.f1, frame.f2)
-    if key not in _AXIS_FRAME_TO_SLOPE:
-        raise ValueError("frame basis vectors must be signed standard basis vectors")
-    poly = ms.polygon
-    if poly.contains(frame.origin):
-        return None
-    if not (ray_splits(poly, frame.origin, frame.f1) and ray_splits(poly, frame.origin, frame.f2)):
-        return None
-    k = _AXIS_FRAME_TO_SLOPE[key]
-    prof = slope_profile(frame, ms.slope(k))
-    if prof is None:
-        raise InvariantError(f"frame does not split maximal slope {k}")
-    return prof
-
-
-def check_step_bounds(ms: MaximalSlopes, lattice: Sublattice) -> CheckReport:
-    """Nondegenerate axis faces of a lattice polygon span at least one large step."""
-    poly, s = ms.polygon, ms.stats
-    if not all(lattice.contains(v) for v in poly.vertices):
-        raise ValueError("polygon vertices must belong to the lattice")
-    st = steps(lattice, E1, E2)
-    gaps = {
-        "bottom": (s.south_plus - s.south_minus, st.large_f1 * ms.m1),
-        "right": (s.east_plus - s.east_minus, st.large_f2 * ms.m2),
-        "top": (s.north_plus - s.north_minus, st.large_f1 * ms.m3),
-        "left": (s.west_plus - s.west_minus, st.large_f2 * ms.m4),
-    }
-    details = {name: {"gap": g, "bound": b} for name, (g, b) in gaps.items()}
-    failures = [name for name, (g, b) in gaps.items() if g < b]
-    return CheckReport.from_failures(
-        "step_bounds", details, failures,
-        {"polygon": poly.to_obj(), "lattice": lattice.to_obj()} if failures else None,
     )

@@ -47,7 +47,7 @@ from functools import cmp_to_key
 from typing import Iterator, NamedTuple, Optional
 
 from .core import E1, E2, InvariantError, Sublattice, Vec, steps
-from .polygon import Polygon, Segment, lattice_points_in, polygon_free_of, segment_splits
+from .polygon import Polygon, Segment, polygon_free_of, segment_splits
 from .reduction import TypeTag
 from .slopes import (
     CheckReport,
@@ -561,9 +561,8 @@ def type_ii_bound_pipeline(
             if prof is None:
                 raise InvariantError(f"frame does not split maximal slope {k}")
         profs[k] = prof
-    # the one membership check: the step and sublattice projection clauses
-    # below are read here rather than through check_step_bounds and
-    # check_sublattice_projection_bound, which would check it again
+    # the one membership check: the sublattice projection bound and the
+    # step bounds below read the vertex lattice without checking it again
     if not all(vertex_lattice.contains(v) for v in poly.vertices):
         raise ValueError("polygon vertices must belong to the claimed lattice")
     b = _b_parameter(vertex_lattice, n)
@@ -607,7 +606,8 @@ def type_ii_bound_pipeline(
         stats.north_plus - stats.north_minus,
         stats.west_plus - stats.west_minus,
     )
-    # the clause of check_step_bounds: a nondegenerate face spans a large step
+    # the step bounds: a nondegenerate axis face spans at least one large
+    # step of the vertex lattice along its axis
     large = (st.large_f1, st.large_f2, st.large_f1, st.large_f2)
     if any(gap < step * m for gap, step, m in zip(gaps, large, m_vals)):
         failures.append("step_bounds")
@@ -641,37 +641,3 @@ def _pipeline_report(
 ) -> CheckReport:
     context = {"polygon": poly.to_obj(), "lattice": vertex_lattice.to_obj()} if failures else None
     return CheckReport.from_failures("type_ii_bound_pipeline", details, failures, context)
-
-
-def check_pentagon_parity(poly: Polygon) -> CheckReport:
-    """Every integer pentagon has two vertices congruent mod 2, and the
-    segment between them holds at least three integer points."""
-    if len(poly) != 5:
-        raise ValueError("parity check applies to pentagons")
-    classes: dict[tuple[int, int], list[Vec]] = {}
-    for v in poly.vertices:
-        classes.setdefault((v.x1 % 2, v.x2 % 2), []).append(v)
-    pair = None
-    for members in classes.values():
-        if len(members) >= 2:
-            cand = tuple(sorted(members)[:2])
-            if pair is None or cand < pair:
-                pair = cand
-    failures = []
-    details: dict = {}
-    if pair is None:
-        failures.append("pigeonhole")
-    else:
-        p, q = pair
-        g = math.gcd(q.x1 - p.x1, q.x2 - p.x2)
-        details = {"pair": [list(p), list(q)], "segment_points": g + 1}
-        if g + 1 < 3:
-            failures.append("segment_points")
-    return CheckReport.from_failures(
-        "pentagon_parity", details, failures, {"polygon": poly.to_obj()} if failures else None
-    )
-
-
-def contains_even_ordinate_point(poly: Polygon) -> bool:
-    """True iff some integer point of the polygon has an even x2 coordinate."""
-    return any(p.x2 % 2 == 0 for p in lattice_points_in(poly))

@@ -18,7 +18,6 @@ from latfree.polygon import (
     Polygon,
     Segment,
     apply_affine,
-    chord_interval,
     convex_hull,
     lattice_points_in,
     line_splits,
@@ -33,12 +32,14 @@ CORPUS_BOXES = {2: SearchBox(-1, 3, -1, 3), 3: SearchBox(-2, 5, -1, 4)}
 
 def count_calls(monkeypatch, name: str) -> list:
     """Wrap the function ``name`` in every latfree module that binds it;
-    the returned list gains one entry per call."""
+    the returned list gains one entry per call.  A name that no module
+    binds raises, so a count can never stay empty for want of a target."""
     calls: list = []
-    for module in (latfree, polygon, reduction, slopes, verify, cli):
-        original = getattr(module, name, None)
-        if original is None:
-            continue
+    modules = [m for m in (latfree, polygon, reduction, slopes, verify, cli) if hasattr(m, name)]
+    if not modules:
+        raise AttributeError(f"no latfree module binds {name!r}")
+    for module in modules:
+        original = getattr(module, name)
 
         def wrapper(*args, _original=original, **kwargs):
             calls.append(args)
@@ -140,6 +141,38 @@ def diameter_pairs_oracle(pts: list[Vec]) -> tuple[int, tuple[Vec, Vec]]:
     return best, best_pair
 
 
+def chord_interval(poly: Polygon, line: Line) -> Optional[tuple[Fraction, Fraction]]:
+    """Parameter interval of ``poly`` on the line ``anchor + t*direction``
+    as fractions, or None when the line misses the polygon."""
+    (ox, oy), (dx, dy) = line.anchor, line.direction
+    chord = polygon._chord(poly.vertices, ox, oy, dx, dy)
+    if chord is None:
+        return None
+    lo_num, lo_den, hi_num, hi_den = chord
+    return Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+
+
+def line_side(line: Line, p: Vec) -> int:
+    """Sign of the oriented position of p: +1 left, -1 right, 0 on the line."""
+    c = line.direction.cross(p - line.anchor)
+    return (c > 0) - (c < 0)
+
+
+def check_split_exclusion(poly: Polygon, n: int) -> bool:
+    """The two diagonal pairs of outer unit-square segments cannot both split.
+
+    True iff neither {[(0,n),(-n,n)], [(n,0),(2n,0)]} nor
+    {[(0,0),(-n,0)], [(n,n),(2n,n)]} is a pair of simultaneous splitters.
+    """
+    pair1 = segment_splits(poly, Segment(Vec(0, n), Vec(-n, n))) and segment_splits(
+        poly, Segment(Vec(n, 0), Vec(2 * n, 0))
+    )
+    pair2 = segment_splits(poly, Segment(Vec(0, 0), Vec(-n, 0))) and segment_splits(
+        poly, Segment(Vec(n, n), Vec(2 * n, n))
+    )
+    return not pair1 and not pair2
+
+
 def _chord_cell_oracle(image: Polygon, x1: int, n: int) -> int:
     chord = chord_interval(image, Line.vertical(x1))
     if chord is None:
@@ -164,7 +197,7 @@ def normalize_oracle(poly: Polygon, n: int) -> NormalizationResult:
     g = math.gcd(d.x1, d.x2)
     rotate = AffineMap(primitive_to(Vec(d.x1 // g, d.x2 // g), E2), ORIGIN)
     shift_count, c = divmod(rotate(p).x1, n)
-    move = AffineMap.translate(Vec(-shift_count * n, 0)).compose(rotate)
+    move = AffineMap(Mat2.identity(), Vec(-shift_count * n, 0)).compose(rotate)
     image = apply_affine(poly, move)
     u1, u2 = _chord_cell_oracle(image, 0, n), _chord_cell_oracle(image, n, n)
     shear = AffineMap(Mat2(1, 0, u1 - u2, 1), Vec(0, -u1 * n))

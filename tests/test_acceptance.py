@@ -16,12 +16,10 @@ from latfree.polygon import (
     Polygon,
     apply_affine,
     bounding_stats,
-    chord_interval,
     pick_identity,
     polygon_free_of,
 )
 from latfree.reduction import (
-    check_split_exclusion,
     classify_type,
     lattice_diameter,
     satisfies_type,
@@ -46,6 +44,8 @@ from latfree.verify import (
 )
 
 from conftest import (
+    check_split_exclusion,
+    chord_interval,
     random_convex_polygon,
     random_skew_slope_coords,
     random_splitting_instance,
@@ -151,7 +151,7 @@ def test_criterion_6_boundary_decomposition_suite():
 def test_criterion_7_slope_inequality_suite():
     rng = random.Random(1007)
     basis_pool = [(E1, E2)] + [
-        (m.col1, m.col2) for m in (random_unimodular(rng) for _ in range(8))
+        (Vec(m.a11, m.a21), Vec(m.a12, m.a22)) for m in (random_unimodular(rng) for _ in range(8))
     ]
     rect_shapes = [(2, 2), (1, 2), (1, 3), (3, 3), (2, 4)]
     failures = []
@@ -177,7 +177,7 @@ def test_criterion_7_slope_inequality_suite():
                 continue
             frame, slope = inst
             lattice = Sublattice.from_matrix(
-                Mat2.from_columns(f1.scaled(delta), f2.scaled(n))
+                Mat2.from_columns(Vec(delta * f1.x1, delta * f1.x2), Vec(n * f2.x1, n * f2.x2))
             )
             prof = slope_profile(frame, slope)
             reports.append(check_width_bound(slope, lattice=lattice))
@@ -194,7 +194,10 @@ def test_criterion_7_slope_inequality_suite():
                 continue
             frame, slope = inst
             lattice = Sublattice.from_matrix(
-                Mat2.from_columns(f1 - f2.scaled(a_param), f2.scaled(m_param))
+                Mat2.from_columns(
+                    f1 - Vec(a_param * f2.x1, a_param * f2.x2),
+                    Vec(m_param * f2.x1, m_param * f2.x2),
+                )
             )
             prof = slope_profile(frame, slope)
             reports.append(check_width_bound(slope, lattice=lattice, skew=(a_param, m_param)))

@@ -16,7 +16,6 @@ from latfree.core import (
     Vec,
     invariant_factors,
     primitive_to,
-    smith_normal_form,
     steps,
     xgcd,
 )
@@ -57,6 +56,85 @@ def diagonal_reduction_oracle(m: Mat2) -> tuple[int, int]:
     d1, d2 = abs(a[0][0]), abs(a[1][1])
     g = math.gcd(d1, d2)
     return g, d1 * d2 // g
+
+
+def smith_normal_form(m: Mat2) -> tuple[Mat2, Mat2, Mat2]:
+    """Return unimodular (U, D, V) with U @ m @ V = D = diag(delta, n), delta | n.
+
+    The Smith normal form, kept as the reference for ``invariant_factors``.
+    """
+    if m.det() == 0:
+        raise LatticeError("degenerate lattice: basis matrix is singular")
+    d11, d12, d21, d22 = m
+    u = Mat2.identity()
+    v = Mat2.identity()
+
+    def row_reduce() -> None:
+        # zero out d21; plain elimination when d11 already divides it,
+        # otherwise a Bezout row operation that shrinks |d11| to the gcd
+        nonlocal d11, d12, d21, d22, u
+        if d21 % d11 == 0:
+            k = d21 // d11
+            d21, d22 = 0, d22 - k * d12
+            u = Mat2(1, 0, -k, 1) @ u
+        else:
+            g, x, y = xgcd(d11, d21)
+            r = Mat2(x, y, -d21 // g, d11 // g)
+            d11, d12, d21, d22 = (
+                g,
+                x * d12 + y * d22,
+                0,
+                (-d21 // g) * d12 + (d11 // g) * d22,
+            )
+            u = r @ u
+
+    def col_reduce() -> None:
+        # zero out d12 with the mirrored column operations
+        nonlocal d11, d12, d21, d22, v
+        if d12 % d11 == 0:
+            k = d12 // d11
+            d12, d22 = 0, d22 - k * d21
+            v = v @ Mat2(1, -k, 0, 1)
+        else:
+            g, x, y = xgcd(d11, d12)
+            c = Mat2(x, -(d12 // g), y, d11 // g)
+            d11, d12, d21, d22 = (
+                g,
+                0,
+                x * d21 + y * d22,
+                (-(d12 // g)) * d21 + (d11 // g) * d22,
+            )
+            v = v @ c
+
+    def diagonalize() -> None:
+        nonlocal d11, d12, d21, d22, u, v
+        while d21 != 0 or d12 != 0:
+            if d11 == 0:
+                if d21 != 0:
+                    d11, d12, d21, d22 = d21, d22, d11, d12
+                    u = Mat2(0, 1, 1, 0) @ u
+                else:
+                    d11, d12, d21, d22 = d12, d11, d22, d21
+                    v = v @ Mat2(0, 1, 1, 0)
+            if d21 != 0:
+                row_reduce()
+            if d12 != 0:
+                col_reduce()
+
+    diagonalize()
+    if d22 % d11 != 0:
+        # fold column 2 into column 1 and reduce again to enforce divisibility
+        d11, d21 = d11 + d12, d21 + d22
+        v = v @ Mat2(1, 0, 1, 1)
+        diagonalize()
+
+    if d11 < 0:
+        d11 = -d11
+        u = Mat2(-1, 0, 0, 1) @ u
+    if d22 < 0:
+        d22 = -d22
+        u = Mat2(1, 0, 0, -1) @ u
+    return u, Mat2(d11, 0, 0, d22), v
 
 
 class TestInvariantFactors:
@@ -182,17 +260,23 @@ class TestContains:
 
 
 def brute_force_steps(lat: Sublattice, f1: Vec, f2: Vec, span: int = 60):
-    large1 = next(u for u in range(1, span) if lat.contains(f1.scaled(u)))
+    large1 = next(u for u in range(1, span) if lat.contains(Vec(u * f1.x1, u * f1.x2)))
     small1 = next(
         u1
         for u1 in range(1, span)
-        if any(lat.contains(f1.scaled(u1) + f2.scaled(u2)) for u2 in range(-span, span))
+        if any(
+            lat.contains(Vec(u1 * f1.x1 + u2 * f2.x1, u1 * f1.x2 + u2 * f2.x2))
+            for u2 in range(-span, span)
+        )
     )
-    large2 = next(u for u in range(1, span) if lat.contains(f2.scaled(u)))
+    large2 = next(u for u in range(1, span) if lat.contains(Vec(u * f2.x1, u * f2.x2)))
     small2 = next(
         u2
         for u2 in range(1, span)
-        if any(lat.contains(f1.scaled(u1) + f2.scaled(u2)) for u1 in range(-span, span))
+        if any(
+            lat.contains(Vec(u1 * f1.x1 + u2 * f2.x1, u1 * f1.x2 + u2 * f2.x2))
+            for u1 in range(-span, span)
+        )
     )
     return small1, large1, small2, large2
 
@@ -232,7 +316,7 @@ class TestSteps:
                 )
                 if frame.is_unimodular():
                     break
-            f1, f2 = frame.col1, frame.col2
+            f1, f2 = Vec(frame.a11, frame.a21), Vec(frame.a12, frame.a22)
             assert tuple(steps(lat, f1, f2)) == brute_force_steps(lat, f1, f2)
 
     def test_small_times_large_equals_det(self):
@@ -250,7 +334,7 @@ class TestSteps:
                 )
                 if frame.is_unimodular():
                     break
-            st_ = steps(lat, frame.col1, frame.col2)
+            st_ = steps(lat, Vec(frame.a11, frame.a21), Vec(frame.a12, frame.a22))
             assert st_.small_f1 * st_.large_f2 == lat.det()
             assert st_.small_f2 * st_.large_f1 == lat.det()
             assert st_.small_f1 <= st_.large_f1

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latfree import reduction
-from latfree.core import E2, AffineMap, InvariantError, Sublattice, Vec, primitive_to
+from latfree.core import AffineMap, InvariantError, Sublattice, Vec
 from latfree.polygon import (
     DegenerateHullError,
     Line,
@@ -15,7 +15,6 @@ from latfree.polygon import (
     Segment,
     apply_affine,
     bounding_stats,
-    chord_interval,
     convex_hull,
     lattice_points_in,
     polygon_free_of,
@@ -26,8 +25,6 @@ from latfree.reduction import (
     NotLatticeFreeError,
     SplitProfile,
     TypeTag,
-    check_diameter_slab_bound,
-    check_split_exclusion,
     classify_type,
     lattice_diameter,
     satisfies_type,
@@ -35,6 +32,8 @@ from latfree.reduction import (
 )
 
 from conftest import (
+    check_split_exclusion,
+    chord_interval,
     classify_oracle,
     count_calls,
     diameter_pairs_oracle,
@@ -403,41 +402,6 @@ def test_chord_guard_raises_without_assert():
     square = Polygon([Vec(-1, -1), Vec(1, -1), Vec(1, 1), Vec(-1, 1)])
     with pytest.raises(InvariantError, match="forbidden lattice point"):
         reduction._chord_cell_index(square.vertices, 0, 2)
-
-
-class TestDiameterSlabBound:
-    def test_rotated_flat_triangle(self):
-        tri = Polygon([Vec(0, 0), Vec(3, 0), Vec(0, 1)])
-        rot = AffineMap(primitive_to(Vec(1, 0), E2), Vec(0, 0))
-        mapped = apply_affine(tri, rot)
-        assert mapped.contains(Vec(0, 0)) and mapped.contains(Vec(0, 3))
-        assert check_diameter_slab_bound(mapped)
-
-    def test_square(self):
-        square = Polygon([Vec(0, 0), Vec(2, 0), Vec(2, 2), Vec(0, 2)])
-        assert check_diameter_slab_bound(square)
-
-    def test_unit_triangle(self):
-        assert check_diameter_slab_bound(Polygon([Vec(0, 0), Vec(1, 0), Vec(0, 1)]))
-
-    def test_rejects_missing_anchor(self):
-        with pytest.raises(ValueError):
-            check_diameter_slab_bound(Polygon([Vec(1, 0), Vec(2, 0), Vec(1, 1)]))
-
-    def test_normalized_images(self):
-        # after slab normalization, translate the longest string onto the
-        # x2 axis and check the width bound it implies
-        rng = random.Random(47)
-        for _ in range(20):
-            poly = random_convex_polygon(rng, span=5)
-            wit = lattice_diameter(poly)
-            d = wit.segment.b - wit.segment.a
-            g = math.gcd(d.x1, d.x2)
-            rot = AffineMap(primitive_to(Vec(d.x1 // g, d.x2 // g), E2), Vec(0, 0))
-            moved = apply_affine(poly, rot)
-            anchor = rot(wit.segment.a)
-            moved = apply_affine(moved, AffineMap.translate(-anchor))
-            assert check_diameter_slab_bound(moved)
 
 
 class TestSplitExclusion:

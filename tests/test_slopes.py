@@ -13,10 +13,8 @@ from latfree.slopes import (
     SlopeError,
     check_profile_ledger,
     check_projection_bound,
-    check_step_bounds,
     check_sublattice_projection_bound,
     check_width_bound,
-    frame_splits_maximal,
     maximal_slopes,
     slope_profile,
     validate_slope,
@@ -66,7 +64,7 @@ class TestValidateSlope:
         for _ in range(100):
             coords = random_slope_basis_coords(rng)
             f = random_unimodular(rng)
-            f1, f2 = f.col1, f.col2
+            f1, f2 = Vec(f.a11, f.a21), Vec(f.a12, f.a22)
             s = build_slope(coords, f1, f2)
             swapped = validate_slope(list(reversed(s.vertices)), f2, f1)
             assert swapped.n_edges == s.n_edges
@@ -101,6 +99,31 @@ class TestMaximalSlopes:
             poly = random_convex_polygon(rng)
             ms = maximal_slopes(poly)
             assert sum(ms.edge_counts) + ms.m1 + ms.m2 + ms.m3 + ms.m4 == len(poly)
+
+    def test_projection_bound_holds_on_split_maximal_slopes(self):
+        # a frame at an integer origin near the polygon, on the basis of
+        # maximal slope k in either order, whenever it splits that slope
+        from conftest import random_convex_polygon
+        from latfree.polygon import bounding_stats
+
+        rng = random.Random(97)
+        hits = 0
+        while hits < 150:
+            poly = random_convex_polygon(rng, span=8)
+            s = bounding_stats(poly)
+            origin = Vec(
+                rng.randint(s.west - 2, s.east + 2),
+                rng.randint(s.south - 2, s.north + 2),
+            )
+            ms = maximal_slopes(poly)
+            for k in range(1, 5):
+                slope = ms.slope(k)
+                f1, f2 = (slope.f2, slope.f1) if rng.random() < 0.5 else (slope.f1, slope.f2)
+                prof = slope_profile(Frame(origin, f1, f2), slope)
+                if prof is None:
+                    continue
+                hits += 1
+                assert check_projection_bound(prof).ok
 
 
 class TestFrameSplits:
@@ -185,9 +208,9 @@ def split_cases(draw):
     f1, f2 = draw(st.sampled_from(AXIS_BASES))
     shear = draw(st.integers(-3, 3))
     if draw(st.booleans()):
-        f2 = f2 + f1.scaled(shear)
+        f2 = f2 + Vec(shear * f1.x1, shear * f1.x2)
     else:
-        f1 = f1 + f2.scaled(shear)
+        f1 = f1 + Vec(shear * f2.x1, shear * f2.x2)
     edge = st.tuples(st.integers(1, 4), st.integers(-4, -1))
     drawn = draw(st.lists(edge, min_size=1, max_size=5))
     by_ratio = {Fraction(a1, -a2): (a1, a2) for a1, a2 in drawn}
@@ -384,88 +407,3 @@ class TestProfileLedger:
         rep = check_profile_ledger(slope_profile(ORIGIN_FRAME, s), Sublattice.rectangular(2, 2))
         assert rep.ok
         assert rep.details["pihat"] == 4
-
-
-class TestFrameSplitsMaximal:
-    def test_quad_bottom_left(self):
-        ms = maximal_slopes(QUAD)
-        assert frame_splits_maximal(ms, Frame(Vec(0, 0), E1, E2)).slope is ms.slope(4)
-
-    def test_quad_bottom_right(self):
-        ms = maximal_slopes(QUAD)
-        assert frame_splits_maximal(ms, Frame(Vec(3, 0), -E1, E2)).slope is ms.slope(1)
-
-    def test_origin_on_boundary(self):
-        assert frame_splits_maximal(maximal_slopes(SQUARE), Frame(Vec(0, 0), E1, E2)) is None
-
-    def test_requires_axis_basis(self):
-        with pytest.raises(ValueError):
-            frame_splits_maximal(maximal_slopes(QUAD), Frame(Vec(0, 0), Vec(1, 1), E2))
-
-    def test_table_on_quad_corners(self):
-        n = 3
-        expected = {
-            1: Frame(Vec(n, 0), -E1, E2),
-            2: Frame(Vec(n, n), -E1, -E2),
-            3: Frame(Vec(0, n), E1, -E2),
-            4: Frame(Vec(0, 0), E1, E2),
-        }
-        ms = maximal_slopes(QUAD)
-        for k, frame in expected.items():
-            assert frame_splits_maximal(ms, frame).slope is ms.slope(k)
-
-    def test_projection_bound_holds_on_split_maximal_slopes(self):
-        from conftest import random_convex_polygon
-        from latfree.polygon import bounding_stats
-
-        rng = random.Random(97)
-        axis_pairs = [
-            (-E1, E2), (E2, -E1), (-E2, -E1), (-E1, -E2),
-            (E1, -E2), (-E2, E1), (E2, E1), (E1, E2),
-        ]
-        hits = 0
-        while hits < 150:
-            poly = random_convex_polygon(rng, span=8)
-            s = bounding_stats(poly)
-            origin = Vec(
-                rng.randint(s.west - 2, s.east + 2),
-                rng.randint(s.south - 2, s.north + 2),
-            )
-            frame = Frame(origin, *axis_pairs[rng.randrange(8)])
-            prof = frame_splits_maximal(maximal_slopes(poly), frame)
-            if prof is None:
-                continue
-            hits += 1
-            assert check_projection_bound(prof).ok
-
-
-class TestStepBounds:
-    def test_trivial_lattice(self):
-        assert check_step_bounds(maximal_slopes(DIAMOND), Sublattice.zsquare()).ok
-
-    def test_doubled_square(self):
-        rep = check_step_bounds(maximal_slopes(SQUARE), Sublattice.rectangular(2, 2))
-        assert rep.ok
-        assert rep.details["bottom"] == {"gap": 2, "bound": 2}
-
-    def test_membership_required(self):
-        with pytest.raises(ValueError):
-            check_step_bounds(maximal_slopes(DIAMOND), Sublattice.rectangular(2, 2))
-
-    def test_random_lattice_polygons(self):
-        rng = random.Random(79)
-        checked = 0
-        while checked < 50:
-            lat = Sublattice.rectangular(*rng.choice([(1, 2), (2, 2), (1, 3), (3, 3)]))
-            pts = {
-                lat.basis.mul_vec(Vec(rng.randint(-3, 3), rng.randint(-3, 3)))
-                for _ in range(rng.randint(3, 9))
-            }
-            from latfree.polygon import DegenerateHullError, convex_hull
-
-            try:
-                poly = convex_hull(pts)
-            except DegenerateHullError:
-                continue
-            checked += 1
-            assert check_step_bounds(maximal_slopes(poly), lat).ok

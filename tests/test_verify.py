@@ -21,10 +21,8 @@ from latfree.reduction import TypeTag, classify_type, satisfies_type
 from latfree.slopes import Slope
 from latfree.verify import (
     SearchBox,
-    check_pentagon_parity,
     check_type_vertex_bound,
     construct_extremal,
-    contains_even_ordinate_point,
     critical_vertex_count,
     default_box,
     enumerate_free_polygons,
@@ -438,11 +436,10 @@ class TestTypeIIPipeline:
         # the four sides of the n-square settle type II position and the
         # corner frames' rays; no side is tested again
         side_calls = count_calls(monkeypatch, "segment_splits")
-        ray_calls = count_calls(monkeypatch, "ray_splits")
         type_calls = count_calls(monkeypatch, "satisfies_type")
         type_ii_bound_pipeline(poly, n, lattice)
         assert len(side_calls) == 4
-        assert ray_calls == [] and type_calls == []
+        assert type_calls == []
 
     def test_failed_corner_frames_end_the_pipeline(self):
         # type II position, but (3, 0), (3, 3) and (0, 3) lie in the polygon,
@@ -493,51 +490,10 @@ class TestTypeIIPipeline:
         assert digest.hexdigest() == "6924b77cf0e9b236298886aea692c67b084a01a9b8709013785aa1f7c2105855"
 
 
-class TestPentagonParity:
-    def test_documented_pentagon(self):
-        poly = Polygon([Vec(0, 0), Vec(2, 0), Vec(3, 1), Vec(2, 3), Vec(0, 2)])
-        rep = check_pentagon_parity(poly)
-        assert rep.ok
-        (p1, p2), (q1, q2) = rep.details["pair"]
-        assert (p1 - q1) % 2 == 0 and (p2 - q2) % 2 == 0
-        assert rep.details["segment_points"] >= 3
-
-    def test_small_pentagon(self):
-        poly = Polygon([Vec(0, 0), Vec(1, 0), Vec(2, 1), Vec(1, 2), Vec(0, 1)])
-        assert check_pentagon_parity(poly).ok
-
-    def test_random_pentagons(self):
-        rng = random.Random(83)
-        done = 0
-        while done < 100:
-            pts = {Vec(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(5)}
-            try:
-                poly = convex_hull(pts)
-            except DegenerateHullError:
-                continue
-            if len(poly) != 5:
-                continue
-            done += 1
-            assert check_pentagon_parity(poly).ok
-
-    def test_rejects_non_pentagon(self):
-        with pytest.raises(ValueError):
-            check_pentagon_parity(DIAMOND)
-
-
-class TestEvenOrdinate:
-    def test_diamond(self):
-        assert contains_even_ordinate_point(DIAMOND)
-
-    def test_random_polygons(self):
-        rng = random.Random(89)
-        for _ in range(100):
-            from conftest import random_convex_polygon
-
-            assert contains_even_ordinate_point(random_convex_polygon(rng))
-
-    def test_whole_corpus(self, corpus_n2):
-        assert all(contains_even_ordinate_point(poly) for poly in corpus_n2)
+def test_count_calls_rejects_an_unbound_name(monkeypatch):
+    # a count on a name that no latfree module binds would stay empty and pass
+    with pytest.raises(AttributeError, match="ray_splits"):
+        count_calls(monkeypatch, "ray_splits")
 
 
 class TestEmptyTriangleParity:
