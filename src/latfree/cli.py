@@ -86,11 +86,39 @@ def _probe_out(path: Optional[str]) -> None:
                 os.remove(path)
 
 
-def _write_out(path: Optional[str], obj) -> None:
+def _write_out(path: Optional[str], obj, polygons: Optional[list] = None) -> None:
+    """Write ``json.dump(obj, indent=2, sort_keys=True)`` and a newline.
+
+    ``polygons``, a list of polygon objects, is added under the key
+    "polygons", which must sort after every key of ``obj``.  With
+    ``indent`` set, json runs its pure-Python encoder, so that list is
+    written from a per-vertex template instead, with the same bytes.
+    """
     if path:
         with _open_out(path) as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
+            if polygons is None:
+                json.dump(obj, fh, indent=2, sort_keys=True)
+            else:
+                head = json.JSONEncoder(indent=2, sort_keys=True).encode(obj)
+                fh.write(head[:-2] + ',\n  "polygons": ')  # reopen the closed object
+                fh.write(_polygons_text(polygons) + "\n}")
             fh.write("\n")
+
+
+_VERTEX = "        [\n          %d,\n          %d\n        ]"
+
+
+def _polygons_text(polygons: list) -> str:
+    # the indented JSON of a list of {"vertices": [[x1, x2], ...]} objects
+    # one level down in a report
+    if not polygons:
+        return "[]"
+    items = [
+        '    {\n      "vertices": [\n%s\n      ]\n    }'
+        % ",\n".join([_VERTEX % (x, y) for x, y in poly["vertices"]])
+        for poly in polygons
+    ]
+    return "[\n%s\n  ]" % ",\n".join(items)
 
 
 def _svg_dump(poly: Polygon, path: str) -> None:
@@ -257,10 +285,7 @@ def _cmd_enumerate(args) -> int:
         if found is not None:
             found.append(poly.to_obj())
     print(f"found {count} polygons", file=sys.stderr)
-    _write_out(
-        args.out,
-        {"lattice": lattice.to_obj(), "box": box.to_obj(), "count": count, "polygons": found},
-    )
+    _write_out(args.out, {"lattice": lattice.to_obj(), "box": box.to_obj(), "count": count}, found)
     return 0
 
 

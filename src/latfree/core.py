@@ -8,7 +8,6 @@ floating point anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -170,26 +169,31 @@ def primitive_to(f: Vec, g: Vec) -> Mat2:
     return mg.inverse_unimodular() @ mf
 
 
-@dataclass(frozen=True)
-class Sublattice:
-    """A finite-index sublattice of Z^2 with cached invariant factors."""
-
+class _SublatticeFields(NamedTuple):
     basis: Mat2
     delta: int
     n: int
 
-    def __post_init__(self) -> None:
-        if invariant_factors(self.basis) != (self.delta, self.n):
+
+class Sublattice(_SublatticeFields):
+    """A finite-index sublattice of Z^2 with cached invariant factors.
+
+    Direct construction checks the factors against the basis;
+    :meth:`from_matrix` computes them from it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, basis: Mat2, delta: int, n: int) -> "Sublattice":
+        if invariant_factors(basis) != (delta, n):
             raise LatticeError("invariant factors do not match the basis")
+        return tuple.__new__(cls, (basis, delta, n))
 
     @classmethod
     def from_matrix(cls, basis: Mat2) -> "Sublattice":
         # the factors come from the basis itself, so the constructor's
         # check would only compute them again
-        delta, n = invariant_factors(basis)
-        lattice = object.__new__(cls)
-        lattice.__dict__.update(basis=basis, delta=delta, n=n)
-        return lattice
+        return tuple.__new__(cls, (basis, *invariant_factors(basis)))
 
     @classmethod
     def rectangular(cls, delta: int, n: int) -> "Sublattice":
@@ -255,8 +259,7 @@ def steps(lattice: Sublattice, f1: Vec, f2: Vec) -> StepMeasures:
     return StepMeasures(small1, d // small2, small2, d // small1)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """An affine map x -> linear @ x + translation."""
 
     linear: Mat2

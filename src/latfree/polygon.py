@@ -11,7 +11,6 @@ numerator/denominator pairs compared by cross-multiplication.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .core import AffineMap, InvariantError, Sublattice, Vec, int_pairs
@@ -30,8 +29,7 @@ class Segment(NamedTuple):
     b: Vec
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """An oriented line through ``anchor`` with direction ``direction``."""
 
     anchor: Vec
@@ -130,15 +128,24 @@ class Polygon:
 
 
 def convex_hull(points: Iterable[Vec]) -> Polygon:
-    """Strict convex hull (monotone chain); collinear boundary points are dropped."""
-    pts = sorted({Vec(int(p[0]), int(p[1])) for p in points})
+    """Strict convex hull (monotone chain); collinear boundary points are dropped.
+
+    The chains are built on plain integer pairs: a point is popped while
+    the cross product of the last edge and the step to the new point is
+    not positive.
+    """
+    pts = sorted({(int(p[0]), int(p[1])) for p in points})
     if len(pts) < 3:
         raise DegenerateHullError("degenerate hull: fewer than 3 distinct points")
 
-    def build(seq: list[Vec]) -> list[Vec]:
-        chain: list[Vec] = []
+    def build(seq: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        chain: list[tuple[int, int]] = []
         for p in seq:
-            while len(chain) >= 2 and (chain[-1] - chain[-2]).cross(p - chain[-2]) <= 0:
+            px, py = p
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
+                    break
                 chain.pop()
             chain.append(p)
         return chain

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import E2, AffineMap, InvariantError, Mat2, Sublattice, Vec, primitive_to
@@ -79,8 +78,7 @@ class ClassificationError(InvariantError):
         self.profile = profile
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     map: AffineMap
     image: Polygon
     diameter_line_c: int

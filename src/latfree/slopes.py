@@ -11,8 +11,9 @@ structured counterexample.
 
 A check takes the object it reads: build a slope's profile in a frame
 (:func:`slope_profile`) or a polygon's maximal slopes
-(:func:`maximal_slopes`) once, then pass it to each check.  Both objects
-keep their inputs, so a check needs nothing else but a lattice.
+(:func:`maximal_slopes`) once, then pass it to each check.  A profile
+keeps its frame and slope, and the maximal slopes keep the polygon's
+bounding stats, so a check needs nothing else but a lattice.
 :func:`slope_profile` is also the split test: it returns None when the
 frame does not split the slope.
 """
@@ -20,7 +21,6 @@ frame does not split the slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -44,8 +44,7 @@ class Frame(NamedTuple):
     f2: Vec
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(NamedTuple):
     """A validated slope; construct through :func:`validate_slope`."""
 
     vertices: tuple[Vec, ...]
@@ -104,14 +103,13 @@ def validate_slope(vertices: list[Vec] | tuple[Vec, ...], f1: Vec, f2: Vec) -> S
 # --- maximal slopes of a polygon -------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaximalSlopes:
+class MaximalSlopes(NamedTuple):
     """The four monotone boundary arcs of a polygon between axis extrema.
 
     q4 runs counter-clockwise from the west-bottom corner to the south-left
     corner in basis (e1, e2); q1, q2, q3 continue around in the rotated
     bases.  m1..m4 flag nondegenerate bottom/right/top/left faces.  The
-    polygon and its bounding stats are kept, so one build with
+    polygon's bounding stats are kept, so one build with
     :func:`maximal_slopes` gives the type II pipeline the slopes, the face
     flags and the face widths it reads.
     """
@@ -124,8 +122,7 @@ class MaximalSlopes:
     m2: int
     m3: int
     m4: int
-    polygon: Polygon = field(repr=False)
-    stats: BoundingStats = field(repr=False)
+    stats: BoundingStats
 
     @property
     def edge_counts(self) -> tuple[int, int, int, int]:
@@ -160,7 +157,6 @@ def maximal_slopes(poly: Polygon) -> MaximalSlopes:
         int(s.east_minus != s.east_plus),
         int(s.north_minus != s.north_plus),
         int(s.west_minus != s.west_plus),
-        poly,
         s,
     )
 
@@ -180,8 +176,7 @@ def _frame_coords(frame: Frame, slope: Slope) -> list[Vec]:
     ]
 
 
-@dataclass(frozen=True)
-class SlopeProfile:
+class SlopeProfile(NamedTuple):
     """Combinatorial data of a slope relative to a splitting frame.
 
     Everything is expressed in frame coordinates, with the vertex order
@@ -214,9 +209,9 @@ class SlopeProfile:
     pihat: int
     pihat_head: int
     pihat_tail: int
-    coords: tuple[Vec, ...] = field(repr=False)
-    frame: Frame = field(repr=False)
-    slope: Slope = field(repr=False)
+    coords: tuple[Vec, ...]
+    frame: Frame
+    slope: Slope
 
     @property
     def n_edges(self) -> int:
@@ -285,8 +280,7 @@ def slope_profile(frame: Frame, slope: Slope) -> Optional[SlopeProfile]:
 # --- checks -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     ok: bool
     details: dict

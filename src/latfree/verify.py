@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterator, NamedTuple, Optional
 
@@ -298,10 +297,19 @@ def _fan_dp(grid: _Grid, i0: int) -> tuple:
     back to the first is positive.  Edges are solved
     in decreasing rank, one equal-rank group at a time, so each window is
     a suffix of out[v] when it is read.
+
+    A polygon whose lowest vertex is p sees its vertices at strictly
+    rising angle from p, so an edge u -> v on it turns left around p:
+    its rank lies in (rp[u], rp[u] + upper).  The other free edges are
+    skipped unsolved.  One that lies in the window of a kept edge could
+    only go on turning back around p and never closes, so it was never
+    live there: each kept edge keeps its count, its longest completion
+    and the live edges of its window.
     """
     rp, by_rank = edges = _fan_edges(grid, i0)
     upper = grid.upper
     m = len(rp)
+    rq = rp + [-1]  # p's own rank, below that of each first edge
     # per vertex: the negated ranks of out[x], for bisect; prefix sums of
     # the counts; and a stack of (position, longest) with longest falling,
     # whose first entry at or after a position is the window's maximum
@@ -318,6 +326,8 @@ def _fan_dp(grid: _Grid, i0: int) -> tuple:
         if s < upper:
             cut = -s - upper
             for u, v in zip(us, vs):
+                if rq[u] >= s:
+                    continue
                 nr = negr[v]
                 lo, hi = bisect_right(nr, cut), len(nr)
                 c = cum[v]
@@ -328,6 +338,8 @@ def _fan_dp(grid: _Grid, i0: int) -> tuple:
         else:
             close = s - upper
             for u, v in zip(us, vs):
+                if rp[u] <= close:  # no edge from p has rank upper or more
+                    continue
                 hi = len(negr[v])
                 count = cum[v][hi] + (rp[v] > close)
                 if count:
@@ -430,8 +442,7 @@ def _longest(grid: _Grid, i0: int) -> tuple:
     return tuple(chain), count, _states(edges, grid.upper)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     lattice: Sublattice
     box: SearchBox
     max_vertices_found: int

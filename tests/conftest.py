@@ -128,6 +128,28 @@ def _dfs_from(cand: list, lpts: list, i0: int, states: set) -> Iterator[tuple]:
         chain.pop()
 
 
+def convex_hull_oracle(points) -> Polygon:
+    """The monotone chain on :class:`Vec` arithmetic, as ``convex_hull`` was
+    written before it moved to plain integer pairs: the reference the
+    integer version is compared with."""
+    pts = sorted({Vec(int(p[0]), int(p[1])) for p in points})
+    if len(pts) < 3:
+        raise DegenerateHullError("degenerate hull: fewer than 3 distinct points")
+
+    def build(seq: list[Vec]) -> list[Vec]:
+        chain: list[Vec] = []
+        for p in seq:
+            while len(chain) >= 2 and (chain[-1] - chain[-2]).cross(p - chain[-2]) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    hull = build(pts)[:-1] + build(pts[::-1])[:-1]
+    if len(hull) < 3:
+        raise DegenerateHullError("degenerate hull: points are collinear")
+    return Polygon(hull)
+
+
 def diameter_pairs_oracle(pts: list[Vec]) -> tuple[int, tuple[Vec, Vec]]:
     """The quadratic lattice-diameter pass over every pair of lexicographically
     sorted points: the largest gcd of a difference and the first pair, in

@@ -23,7 +23,13 @@ from latfree.polygon import (
     segment_splits,
 )
 
-from conftest import chord_interval, line_side, random_convex_polygon, random_unimodular
+from conftest import (
+    chord_interval,
+    convex_hull_oracle,
+    line_side,
+    random_convex_polygon,
+    random_unimodular,
+)
 
 UNIT_TRIANGLE = Polygon([Vec(0, 0), Vec(1, 0), Vec(0, 1)])
 SQUARE = Polygon([Vec(0, 0), Vec(2, 0), Vec(2, 2), Vec(0, 2)])
@@ -185,6 +191,38 @@ class TestConvexHull:
             except DegenerateHullError:
                 pass
 
+    def test_matches_vec_oracle(self):
+        # random point sets with repeated points, collinear runs and
+        # degenerate inputs: the same polygon or the same error
+        rng = random.Random(17)
+        seen = {"polygon": 0, "fewer than 3": 0, "collinear": 0}
+        for _ in range(600):
+            kind = rng.randrange(4)
+            if kind == 0:  # a few points, often fewer than 3 distinct ones
+                pts = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(rng.randint(0, 4))]
+            elif kind == 1:  # one line, at any slope
+                a, d = (rng.randint(-5, 5), rng.randint(-5, 5)), (rng.randint(-2, 2), rng.randint(-2, 2))
+                pts = [(a[0] + t * d[0], a[1] + t * d[1]) for t in range(rng.randint(1, 6))]
+            else:  # a cloud plus collinear runs along a box's sides
+                pts = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(3, 12))]
+                x0, y0 = rng.randint(-6, 0), rng.randint(-6, 0)
+                w = rng.randint(1, 6)
+                pts += [(x0 + t, y0) for t in range(w + 1)] + [(x0, y0 + t) for t in range(w + 1)]
+            pts += [rng.choice(pts) for _ in range(rng.randint(0, 3))] if pts else []
+            rng.shuffle(pts)
+            outcomes = []
+            for hull in (convex_hull, convex_hull_oracle):
+                try:
+                    outcomes.append(hull(pts).vertices)
+                except DegenerateHullError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            got = outcomes[0]
+            key = "polygon" if isinstance(got, tuple) else (
+                "fewer than 3" if "fewer" in got else "collinear")
+            seen[key] += 1
+        assert all(seen.values())
+
     def test_idempotent(self):
         rng = random.Random(3)
         for _ in range(30):
@@ -307,13 +345,13 @@ class TestSplits:
 
     def test_split_tests_build_no_line(self, monkeypatch):
         built = []
-        init = Line.__init__
+        new = Line.__new__
 
-        def counting_init(self, *args, **kwargs):
+        def counting_new(cls, *args, **kwargs):
             built.append(args)
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(Line, "__init__", counting_init)
+        monkeypatch.setattr(Line, "__new__", counting_new)
         rng = random.Random(14)
         for _ in range(100):
             poly = random_convex_polygon(rng, span=6)

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -285,6 +284,29 @@ class TestFanDP:
         got = [p.vertices for p in enumerate_free_polygons(lattice, box, k)]
         assert got == [_as_polygon(c) for c in chains if len(c) >= k]
 
+    def test_backward_pass_skips_edges_that_turn_back(self, monkeypatch):
+        # A polygon whose lowest vertex is p sees its vertices at strictly
+        # rising angle from p, so only edges u -> v that turn left around
+        # p are solved: below rank `upper` one bisection each, and no live
+        # edge turns right or runs along a ray from p.
+        grid = verify._prepare(Sublattice.rectangular(3, 3), SearchBox(-2, 5, -1, 4))
+        queries = count_calls(monkeypatch, "bisect_right")
+        skipped = 0
+        for i0, (px, py) in enumerate(grid.cand):
+            queries.clear()
+            tail, out, _, (rp, by_rank) = verify._fan_dp(grid, i0)
+            m = len(rp)
+            free = [(u, s) for s in range(grid.upper) for u in by_rank[s][0]]
+            turning = sum(1 for u, s in free if u == m or rp[u] < s)
+            assert len(queries) == turning
+            skipped += len(free) - turning
+            for x in range(m):
+                (ax, ay) = tail[x]
+                for k, *_ in out[x]:
+                    bx, by = tail[k]
+                    assert (ax - px) * (by - ay) - (ay - py) * (bx - ax) > 0
+        assert skipped > 0
+
     def test_settles_4_4_on_the_slab_box(self):
         # out of the DFS's reach: the first n = 4 slab-box answer
         lattice = Sublattice.rectangular(4, 4)
@@ -475,7 +497,7 @@ class TestTypeIIPipeline:
             lattice = Sublattice.rectangular(1, n) if rng.random() < 0.1 else Sublattice.zsquare()
             type_ii = satisfies_type(poly, TypeTag("II", n))
             try:
-                outcome = dataclasses.asdict(type_ii_bound_pipeline(poly, n, lattice))
+                outcome = type_ii_bound_pipeline(poly, n, lattice)._asdict()
             except ValueError as exc:
                 outcome = str(exc)
             assert (outcome == "polygon is not in type II position") == (not type_ii)
