@@ -19,7 +19,6 @@ from .polygon import (
     BoundingStats,
     DegenerateHullError,
     GeometryError,
-    Line,
     PickResult,
     Polygon,
     Segment,
@@ -27,10 +26,8 @@ from .polygon import (
     bounding_stats,
     convex_hull,
     lattice_points_in,
-    line_splits,
     pick_identity,
     polygon_free_of,
-    segment_splits,
 )
 from .reduction import (
     ClassificationError,

@@ -49,6 +49,10 @@ ORIGIN = Vec(0, 0)
 E1 = Vec(1, 0)
 E2 = Vec(0, 1)
 
+# _new(Vec, (x1, x2)) makes the same Vec as Vec(x1, x2) without a call of
+# the namedtuple's Python-level __new__
+_new = tuple.__new__
+
 
 def int_pair(value, what: str, error: type[ValueError] = LatticeError) -> Vec:
     """Read a JSON pair of integers; any other shape raises ``error``.
@@ -58,7 +62,7 @@ def int_pair(value, what: str, error: type[ValueError] = LatticeError) -> Vec:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         x1, x2 = value
         if type(x1) is int and type(x2) is int:  # not bool, float or str
-            return Vec(x1, x2)
+            return _new(Vec, (x1, x2))
     raise error(f"{what} must be a pair of integers, got {value!r}")
 
 
@@ -284,10 +288,3 @@ class AffineMap(NamedTuple):
 
     def to_obj(self) -> dict:
         return {"linear": self.linear.rows(), "translation": list(self.translation)}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "AffineMap":
-        if not isinstance(obj, dict) or "linear" not in obj or "translation" not in obj:
-            raise LatticeError("affine map object needs 'linear' and 'translation'")
-        (a11, a12), (a21, a22) = int_pairs(obj["linear"], "affine map 'linear'", count=2)
-        return cls(Mat2(a11, a12, a21, a22), int_pair(obj["translation"], "affine map 'translation'"))

@@ -6,6 +6,11 @@ predicates are computed in integer arithmetic, never floats: the
 the vertex coordinates, lattice rows are clipped by integer floor and
 ceiling division, and a chord's rational end parameters stay
 numerator/denominator pairs compared by cross-multiplication.
+
+The split primitives take a vertex sequence and a line given as plain
+integers ``(ox, oy) + t*(dx, dy)``: whether the line has vertices strictly
+on both sides, and the chord of a line that does.  The type clauses in
+:mod:`latfree.reduction` read them on the lines x1, x2 in n*Z.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Optional
 
-from .core import AffineMap, InvariantError, Sublattice, Vec, int_pairs
+from .core import AffineMap, InvariantError, Sublattice, Vec, _new, int_pairs
 
 
 class GeometryError(ValueError):
@@ -27,24 +32,6 @@ class DegenerateHullError(GeometryError):
 class Segment(NamedTuple):
     a: Vec
     b: Vec
-
-
-class Line(NamedTuple):
-    """An oriented line through ``anchor`` with direction ``direction``."""
-
-    anchor: Vec
-    direction: Vec
-
-    @classmethod
-    def vertical(cls, c: int) -> "Line":
-        return cls(Vec(c, 0), Vec(0, 1))
-
-    @classmethod
-    def horizontal(cls, c: int) -> "Line":
-        return cls(Vec(0, c), Vec(1, 0))
-
-
-_new = tuple.__new__
 
 
 class Polygon:
@@ -62,8 +49,6 @@ class Polygon:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices: Iterable[Vec]):
-        # tuple.__new__ makes the same Vec as Vec(x1, x2) without a call
-        # of the namedtuple's Python-level __new__
         verts = [_new(Vec, (int(v[0]), int(v[1]))) for v in vertices]
         if len(verts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
@@ -254,14 +239,9 @@ def bounding_stats(poly: Polygon) -> BoundingStats:
     )
 
 
-def line_splits(poly: Polygon, line: Line) -> bool:
-    """True iff the polygon has vertices strictly on both sides of the line."""
-    (ox, oy), (dx, dy) = line.anchor, line.direction
-    return _line_splits(poly.vertices, ox, oy, dx, dy)
-
-
 def _line_splits(verts, ox: int, oy: int, dx: int, dy: int) -> bool:
-    # the split test of the line (ox, oy) + t*(dx, dy) on a vertex sequence
+    # True iff the vertex sequence has vertices strictly on both sides of
+    # the line (ox, oy) + t*(dx, dy)
     left = right = False
     for x, y in verts:
         c = dx * (y - oy) - dy * (x - ox)
@@ -310,15 +290,6 @@ def _split_chord(verts, ox: int, oy: int, dx: int, dy: int) -> Optional[tuple[in
     if chord is None:
         raise InvariantError("a splitting line meets the polygon")
     return chord
-
-
-def segment_splits(poly: Polygon, seg: Segment) -> bool:
-    """True iff the supporting line splits the polygon and the chord lies within the segment."""
-    (ax, ay), (bx, by) = seg
-    if ax == bx and ay == by:
-        raise GeometryError("line needs two distinct points")
-    chord = _split_chord(poly.vertices, ax, ay, bx - ax, by - ay)
-    return chord is not None and chord[0] >= 0 and chord[2] <= chord[3]
 
 
 def apply_affine(poly: Polygon, m: AffineMap) -> Polygon:

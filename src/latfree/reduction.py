@@ -5,8 +5,12 @@ The classification works on a normalized image: the polygon is moved by an
 affine automorphism of n*Z^2 into the slab -n+1 <= x1 <= 2n-1, with its
 longest lattice string on a vertical line x1 = c, 0 <= c <= n-1, and with
 its chords on the lines x1 = 0 and x1 = n confined to the unit-square
-sides.  A decision table over which canonical segments split the image
-then picks the type and the finishing automorphism.
+sides.  A decision table over which unit segments of the lines x2 = 0 and
+x2 = n split the image then picks the type and the finishing automorphism.
+
+Both the table key and the clauses of types II-VI come from one query,
+:func:`_cell`: the cell [k*n, (k+1)*n] of a line x1 = c or x2 = c that
+holds the line's chord, when the line splits the polygon.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from typing import NamedTuple, Optional
 
 from .core import E2, AffineMap, InvariantError, Mat2, Sublattice, Vec, primitive_to
 from .polygon import (
-    Line,
     Polygon,
     Segment,
     _chord,
@@ -26,8 +29,6 @@ from .polygon import (
     apply_affine,
     bounding_stats,
     lattice_points_in,
-    line_splits,
-    segment_splits,
 )
 
 
@@ -187,6 +188,54 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
 # --- type predicates -------------------------------------------------------
 
 
+def _axis_line(axis: int, c: int) -> tuple[int, int, int, int]:
+    # the line x_axis = c as (ox, oy, dx, dy), run along the other axis
+    return (c, 0, 0, 1) if axis == 0 else (0, c, 1, 0)
+
+
+def _cell(verts, axis: int, c: int, n: int) -> Optional[int]:
+    """The k with the chord of the line x_axis = c inside [k*n, (k+1)*n],
+    for a counter-clockwise vertex sequence.
+
+    None when the line does not split the polygon or when no such k
+    exists.  A splitting line's chord has positive length, so k is unique.
+    """
+    chord = _split_chord(verts, *_axis_line(axis, c))
+    if chord is None:
+        return None
+    lo_num, lo_den, hi_num, hi_den = chord
+    k = lo_num // (lo_den * n)
+    return k if hi_num <= (k + 1) * n * hi_den else None
+
+
+# The split clauses of types II-VI as (axis, m, cell) triples: the line
+# x_axis = m*n splits with its chord in [cell*n, (cell+1)*n], or, for a
+# None cell, does not split.  Type IV also keeps the lines x1 = -n and
+# x1 = 2n away, which satisfies_type reads off the bounding stats.
+_TYPE_CLAUSES: dict[str, tuple[tuple[int, int, Optional[int]], ...]] = {
+    "II": ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 0)),
+    "III": ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, None)),
+    "IV": ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)),
+    "V": ((1, 0, -1), (0, 0, 0), (0, -1, None), (1, 1, None)),
+    "VI": ((1, 0, -1), (0, 0, 0), (1, 1, 0), (0, 1, None), (0, -1, None)),
+}
+
+
+def _clause_holds(verts, kind: str, n: int) -> bool:
+    """Walk the split clause of type ``kind`` (one of "II".."VI") on a
+    counter-clockwise vertex sequence."""
+    clause = _TYPE_CLAUSES.get(kind)
+    if clause is None:
+        raise ValueError(f"unknown type tag {kind!r}")
+    for axis, m, cell in clause:
+        if cell is None:
+            if _line_splits(verts, *_axis_line(axis, m * n)):
+                return False
+        elif _cell(verts, axis, m * n, n) != cell:
+            return False
+    return True
+
+
 def _in_axis_slab(lo: int, hi: int, n: int) -> bool:
     return hi <= (lo // n + 1) * n
 
@@ -197,43 +246,9 @@ def satisfies_type(poly: Polygon, tag: TypeTag) -> bool:
     s = bounding_stats(poly)
     if tag.kind == "I":
         return _in_axis_slab(s.west, s.east, n) or _in_axis_slab(s.south, s.north, n)
-
-    def seg(a: tuple[int, int], b: tuple[int, int]) -> bool:
-        return segment_splits(poly, Segment(Vec(*a), Vec(*b)))
-
-    left = seg((0, 0), (0, n))
-    right = seg((n, 0), (n, n))
-    bottom_mid = seg((0, 0), (n, 0))
-    top_mid = seg((0, n), (n, n))
-
-    if tag.kind == "II":
-        return bottom_mid and right and top_mid and left
-    if tag.kind == "III":
-        return (
-            bottom_mid
-            and right
-            and top_mid
-            and not line_splits(poly, Line.vertical(0))
-        )
-    if tag.kind == "IV":
-        away = not (s.west <= -n <= s.east) and not (s.west <= 2 * n <= s.east)
-        return left and bottom_mid and right and seg((n, n), (2 * n, n)) and away
-    if tag.kind == "V":
-        return (
-            seg((0, 0), (-n, 0))
-            and left
-            and not line_splits(poly, Line.vertical(-n))
-            and not line_splits(poly, Line.horizontal(n))
-        )
-    if tag.kind == "VI":
-        return (
-            seg((0, 0), (-n, 0))
-            and left
-            and top_mid
-            and not line_splits(poly, Line.vertical(n))
-            and not line_splits(poly, Line.vertical(-n))
-        )
-    raise ValueError(f"unknown type tag {tag.kind!r}")
+    if tag.kind == "IV" and (s.west <= -n <= s.east or s.west <= 2 * n <= s.east):
+        return False
+    return _clause_holds(poly.vertices, tag.kind, n)
 
 
 # --- classification --------------------------------------------------------
@@ -243,18 +258,10 @@ def _split_index(poly: Polygon, y: int, n: int) -> int:
     """Which of the three unit segments on the line x2 = y splits the polygon.
 
     Returns 1, 2 or 3 for [(-n,y),(0,y)], [(0,y),(n,y)], [(n,y),(2n,y)],
-    or 0 when none does.  Freeness makes the choice unique.
+    that is for the cells -1, 0 and 1 of the line, or 0 when none does.
     """
-    # the three segments share their line: its chord runs from x1 = lo to
-    # x1 = hi, and a segment [(a,y),(a+n,y)] splits when a <= lo, hi <= a + n
-    chord = _split_chord(poly.vertices, 0, y, 1, 0)
-    if chord is None:
-        return 0
-    lo_num, lo_den, hi_num, hi_den = chord
-    for idx, a in enumerate((-n, 0, n), start=1):
-        if a * lo_den <= lo_num and hi_num <= (a + n) * hi_den:
-            return idx
-    return 0
+    cell = _cell(poly.vertices, 1, y, n)
+    return cell + 2 if cell in (-1, 0, 1) else 0
 
 
 _IDENTITY = Mat2(1, 0, 0, 1)

@@ -24,8 +24,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .core import E1, E2, InvariantError, Mat2, Sublattice, Vec, int_pairs, steps
-from .polygon import BoundingStats, Polygon, _new, bounding_stats
+from .core import E1, E2, InvariantError, Mat2, Sublattice, Vec, _new, int_pairs, steps
+from .polygon import BoundingStats, Polygon, bounding_stats
 
 
 class SlopeError(ValueError):

