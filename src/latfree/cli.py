@@ -128,17 +128,15 @@ def _svg_dump(poly: Polygon, path: str) -> None:
     width = (s.east - s.west + 2 * pad) * scale
     height = (s.north - s.south + 2 * pad) * scale
 
-    def pt(v: Vec) -> str:
-        x = (v.x1 - s.west + pad) * scale
-        y = (s.north - v.x2 + pad) * scale
-        return f"{x},{y}"
+    def pt(x: int, y: int) -> tuple[int, int]:
+        return (x - s.west + pad) * scale, (s.north - y + pad) * scale
 
-    dots = []
-    for x in range(s.west - pad, s.east + pad + 1):
-        for y in range(s.south - pad, s.north + pad + 1):
-            px, py = pt(Vec(x, y)).split(",")
-            dots.append(f'<circle cx="{px}" cy="{py}" r="2" fill="#888"/>')
-    outline = " ".join(pt(v) for v in poly.vertices)
+    dots = [
+        '<circle cx="%d" cy="%d" r="2" fill="#888"/>' % pt(x, y)
+        for x in range(s.west - pad, s.east + pad + 1)
+        for y in range(s.south - pad, s.north + pad + 1)
+    ]
+    outline = " ".join("%d,%d" % pt(*v) for v in poly.vertices)
     body = "\n".join(
         [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',

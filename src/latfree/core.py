@@ -167,7 +167,7 @@ def _map_to_first_axis(v: Vec) -> Mat2:
 
 
 def primitive_to(f: Vec, g: Vec) -> Mat2:
-    """A unimodular matrix M with M @ f = g, for primitive f and g."""
+    """A matrix M of determinant +1 with M @ f = g, for primitive f and g."""
     mf = _map_to_first_axis(f)
     mg = _map_to_first_axis(g)
     return mg.inverse_unimodular() @ mf

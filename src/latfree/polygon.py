@@ -7,10 +7,11 @@ the vertex coordinates, lattice rows are clipped by integer floor and
 ceiling division, and a chord's rational end parameters stay
 numerator/denominator pairs compared by cross-multiplication.
 
-The split primitives take a vertex sequence and a line given as plain
-integers ``(ox, oy) + t*(dx, dy)``: whether the line has vertices strictly
-on both sides, and the chord of a line that does.  The type clauses in
-:mod:`latfree.reduction` read them on the lines x1, x2 in n*Z.
+The chord primitive takes a vertex sequence and a line given as plain
+integers ``(ox, oy) + t*(dx, dy)``.  The type clauses in
+:mod:`latfree.reduction` read it on the lines x1, x2 in n*Z that split the
+polygon, which for an axis line is a comparison with the polygon's
+extremes on that axis.
 """
 
 from __future__ import annotations
@@ -239,19 +240,6 @@ def bounding_stats(poly: Polygon) -> BoundingStats:
     )
 
 
-def _line_splits(verts, ox: int, oy: int, dx: int, dy: int) -> bool:
-    # True iff the vertex sequence has vertices strictly on both sides of
-    # the line (ox, oy) + t*(dx, dy)
-    left = right = False
-    for x, y in verts:
-        c = dx * (y - oy) - dy * (x - ox)
-        if c > 0:
-            left = True
-        elif c < 0:
-            right = True
-    return left and right
-
-
 def _chord(verts, ox: int, oy: int, dx: int, dy: int) -> Optional[tuple[int, int, int, int]]:
     """Parameter interval of a counter-clockwise vertex sequence on the line
     (ox, oy) + t*(dx, dy): ``(lo_num, lo_den, hi_num, hi_den)`` with
@@ -280,16 +268,6 @@ def _chord(verts, ox: int, oy: int, dx: int, dy: int) -> Optional[tuple[int, int
     if lo_num * hi_den > hi_num * lo_den:
         return None
     return lo_num, lo_den, hi_num, hi_den
-
-
-def _split_chord(verts, ox: int, oy: int, dx: int, dy: int) -> Optional[tuple[int, int, int, int]]:
-    # the chord of a line that splits the polygon, None when it does not split
-    if not _line_splits(verts, ox, oy, dx, dy):
-        return None
-    chord = _chord(verts, ox, oy, dx, dy)
-    if chord is None:
-        raise InvariantError("a splitting line meets the polygon")
-    return chord
 
 
 def apply_affine(poly: Polygon, m: AffineMap) -> Polygon:

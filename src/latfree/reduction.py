@@ -10,7 +10,8 @@ x2 = n split the image then picks the type and the finishing automorphism.
 
 Both the table key and the clauses of types II-VI come from one query,
 :func:`_cell`: the cell [k*n, (k+1)*n] of a line x1 = c or x2 = c that
-holds the line's chord, when the line splits the polygon.
+holds the line's chord, when the line splits the polygon, that is when c
+lies strictly between the polygon's extremes on that axis.
 """
 
 from __future__ import annotations
@@ -24,10 +25,7 @@ from .polygon import (
     Polygon,
     Segment,
     _chord,
-    _line_splits,
-    _split_chord,
     apply_affine,
-    bounding_stats,
     lattice_points_in,
 )
 
@@ -169,9 +167,8 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
     r11, r12, r21, r22 = primitive_to(Vec((qx - px) // g, (qy - py) // g), E2)
     shift_count, c = divmod(r11 * px + r12 * py, n)
     tx = -shift_count * n
+    # primitive_to has determinant +1, so the moved vertices stay counter-clockwise
     moved = [(r11 * x + r12 * y + tx, r21 * x + r22 * y) for x, y in poly.vertices]
-    if r11 * r22 - r12 * r21 < 0:
-        moved.reverse()  # keep the vertices counter-clockwise
     u1 = _chord_cell_index(moved, 0, n)
     k = u1 - _chord_cell_index(moved, n, n)
     full = AffineMap(Mat2(r11, r12, k * r11 + r21, k * r12 + r22), Vec(tx, k * tx - u1 * n))
@@ -188,9 +185,11 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
 # --- type predicates -------------------------------------------------------
 
 
-def _axis_line(axis: int, c: int) -> tuple[int, int, int, int]:
-    # the line x_axis = c as (ox, oy, dx, dy), run along the other axis
-    return (c, 0, 0, 1) if axis == 0 else (0, c, 1, 0)
+def _extent(verts, axis: int) -> tuple[int, int]:
+    # the least and greatest coordinate x_axis of the vertices; the line
+    # x_axis = c splits the polygon iff lo < c < hi
+    coords = [v[axis] for v in verts]
+    return min(coords), max(coords)
 
 
 def _cell(verts, axis: int, c: int, n: int) -> Optional[int]:
@@ -200,9 +199,13 @@ def _cell(verts, axis: int, c: int, n: int) -> Optional[int]:
     None when the line does not split the polygon or when no such k
     exists.  A splitting line's chord has positive length, so k is unique.
     """
-    chord = _split_chord(verts, *_axis_line(axis, c))
-    if chord is None:
+    lo, hi = _extent(verts, axis)
+    if not lo < c < hi:
         return None
+    # the line x_axis = c as (ox, oy, dx, dy), run along the other axis
+    chord = _chord(verts, c, 0, 0, 1) if axis == 0 else _chord(verts, 0, c, 1, 0)
+    if chord is None:
+        raise InvariantError("a splitting line meets the polygon")
     lo_num, lo_den, hi_num, hi_den = chord
     k = lo_num // (lo_den * n)
     return k if hi_num <= (k + 1) * n * hi_den else None
@@ -210,8 +213,9 @@ def _cell(verts, axis: int, c: int, n: int) -> Optional[int]:
 
 # The split clauses of types II-VI as (axis, m, cell) triples: the line
 # x_axis = m*n splits with its chord in [cell*n, (cell+1)*n], or, for a
-# None cell, does not split.  Type IV also keeps the lines x1 = -n and
-# x1 = 2n away, which satisfies_type reads off the bounding stats.
+# None cell, does not split, i.e. m*n is at most the polygon's least or at
+# least its greatest coordinate x_axis.  Type IV also keeps the lines
+# x1 = -n and x1 = 2n away, which satisfies_type reads off the x1 extent.
 _TYPE_CLAUSES: dict[str, tuple[tuple[int, int, Optional[int]], ...]] = {
     "II": ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 0)),
     "III": ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, None)),
@@ -229,7 +233,8 @@ def _clause_holds(verts, kind: str, n: int) -> bool:
         raise ValueError(f"unknown type tag {kind!r}")
     for axis, m, cell in clause:
         if cell is None:
-            if _line_splits(verts, *_axis_line(axis, m * n)):
+            lo, hi = _extent(verts, axis)
+            if lo < m * n < hi:
                 return False
         elif _cell(verts, axis, m * n, n) != cell:
             return False
@@ -243,12 +248,13 @@ def _in_axis_slab(lo: int, hi: int, n: int) -> bool:
 def satisfies_type(poly: Polygon, tag: TypeTag) -> bool:
     """Re-verify the defining split/containment clause of a type tag."""
     n = tag.n
-    s = bounding_stats(poly)
+    verts = poly.vertices
+    west, east = _extent(verts, 0)
     if tag.kind == "I":
-        return _in_axis_slab(s.west, s.east, n) or _in_axis_slab(s.south, s.north, n)
-    if tag.kind == "IV" and (s.west <= -n <= s.east or s.west <= 2 * n <= s.east):
+        return _in_axis_slab(west, east, n) or _in_axis_slab(*_extent(verts, 1), n)
+    if tag.kind == "IV" and (west <= -n <= east or west <= 2 * n <= east):
         return False
-    return _clause_holds(poly.vertices, tag.kind, n)
+    return _clause_holds(verts, tag.kind, n)
 
 
 # --- classification --------------------------------------------------------
@@ -340,8 +346,8 @@ def _classify(poly: Polygon, n: int) -> tuple[AffineMap, TypeTag, Polygon]:
     norm = slab_normalize(poly, n)
     image, total = norm.image, norm.map
 
-    left = _line_splits(image.vertices, 0, 0, 0, 1)
-    right = _line_splits(image.vertices, n, 0, 0, 1)
+    west, east = _extent(image.vertices, 0)
+    left, right = west < 0 < east, west < n < east
 
     if not left and not right:
         profile = SplitProfile("A", None, None)

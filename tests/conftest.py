@@ -191,19 +191,26 @@ class Line(NamedTuple):
         return cls(Vec(0, c), Vec(1, 0))
 
 
+def line_side(line: Line, p: Vec) -> int:
+    """Sign of the oriented position of p: +1 left, -1 right, 0 on the line."""
+    c = line.direction.cross(p - line.anchor)
+    return (c > 0) - (c < 0)
+
+
 def line_splits(poly: Polygon, line: Line) -> bool:
     """True iff the polygon has vertices strictly on both sides of the line."""
-    (ox, oy), (dx, dy) = line.anchor, line.direction
-    return polygon._line_splits(poly.vertices, ox, oy, dx, dy)
+    return {-1, 1} <= {line_side(line, v) for v in poly.vertices}
 
 
 def segment_splits(poly: Polygon, seg: Segment) -> bool:
     """True iff the supporting line splits the polygon and the chord lies within the segment."""
-    (ax, ay), (bx, by) = seg
-    if ax == bx and ay == by:
+    if seg.a == seg.b:
         raise GeometryError("line needs two distinct points")
-    chord = polygon._split_chord(poly.vertices, ax, ay, bx - ax, by - ay)
-    return chord is not None and chord[0] >= 0 and chord[2] <= chord[3]
+    line = Line(seg.a, seg.b - seg.a)
+    if not line_splits(poly, line):
+        return False
+    lo, hi = chord_interval(poly, line)
+    return lo >= 0 and hi <= 1
 
 
 def satisfies_type_oracle(poly: Polygon, tag: TypeTag) -> bool:
@@ -256,12 +263,6 @@ def chord_interval(poly: Polygon, line: Line) -> Optional[tuple[Fraction, Fracti
         return None
     lo_num, lo_den, hi_num, hi_den = chord
     return Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
-
-
-def line_side(line: Line, p: Vec) -> int:
-    """Sign of the oriented position of p: +1 left, -1 right, 0 on the line."""
-    c = line.direction.cross(p - line.anchor)
-    return (c > 0) - (c < 0)
 
 
 def check_split_exclusion(poly: Polygon, n: int) -> bool:

@@ -121,7 +121,13 @@ def _cli(flags: list[str], args: list[str]) -> tuple[int, str]:
 def inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("optimized")
     paths = {}
-    for name, obj in {"quad": QUAD, "z2": {"delta": 1, "n": 1}, "lat22": {"delta": 2, "n": 2}}.items():
+    objs = {
+        "quad": QUAD,
+        "z2": {"delta": 1, "n": 1},
+        "lat22": {"delta": 2, "n": 2},
+        "slope": {"vertices": [[-2, 4], [2, -2]], "basis": [[1, 0], [0, 1]]},
+    }
+    for name, obj in objs.items():
         paths[name] = tmp / f"{name}.json"
         paths[name].write_text(json.dumps(obj))
     return {name: str(path) for name, path in paths.items()}
@@ -134,8 +140,13 @@ def inputs(tmp_path_factory):
         ["check-bounds", "{quad}", "--lattice", "{z2}", "--n", "3"],
         ["verify", "--lattice", "{lat22}", "--box", "-1,3,-1,3"],
         ["enumerate", "--lattice", "{lat22}", "--box", "-1,3,-1,3", "--min-vertices", "4"],
+        ["normalize", "{quad}", "--n", "3"],
+        ["analyze", "{quad}"],
+        # a proper lattice, so the ledger and the sublattice bound run
+        ["slopes", "{slope}", "--origin", "0,0", "--lattice", "{lat22}"],
+        ["extremal", "--delta", "3", "--n", "3"],
     ],
-    ids=["classify", "check-bounds", "verify", "enumerate"],
+    ids=["classify", "check-bounds", "verify", "enumerate", "normalize", "analyze", "slopes", "extremal"],
 )
 def test_cli_under_python_O_matches(inputs, args):
     args = [arg.format(**inputs) for arg in args]

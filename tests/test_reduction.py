@@ -279,7 +279,8 @@ def _longest_column_string(poly: Polygon, columns: range) -> int:
 
 
 def test_type_one_reads_no_splits(monkeypatch):
-    # type I is an axis-slab test on the bounding stats alone
+    # type I is an axis-slab test on the x1 and x2 extents alone; no line's
+    # chord is read
     calls = count_calls(monkeypatch, "_cell")
     slab = Polygon([Vec(0, 0), Vec(2, 0), Vec(2, 5), Vec(0, 5)])
     assert satisfies_type(slab, TypeTag("I", 3))
@@ -467,6 +468,30 @@ def test_type_clauses_build_no_vec(monkeypatch, clause_cases):
             satisfies_type(poly, TypeTag(kind, n))
         reduction._split_index(poly, 0, n)
     assert calls == []
+
+
+def test_cell_is_none_when_no_line_split():
+    # an axis line splits iff vertices lie strictly on both sides of it; a
+    # line through a vertex or along an edge only touches, and has no cell
+    rng = random.Random(19)
+    touching = splitting = 0
+    for _ in range(300):
+        poly = random_convex_polygon(rng, span=8, max_points=8)
+        n = rng.randint(2, 5)
+        for axis, line_at in ((0, Line.vertical), (1, Line.horizontal)):
+            coords = {v[axis] for v in poly.vertices}
+            for c in range(min(coords) - 1, max(coords) + 2):
+                line = line_at(c)
+                cell = reduction._cell(poly.vertices, axis, c, n)
+                if not line_splits(poly, line):
+                    assert cell is None, (poly, axis, c, n)
+                    touching += c in coords
+                    continue
+                splitting += 1
+                lo, hi = chord_interval(poly, line)
+                k = math.floor(lo / n)
+                assert cell == (k if hi <= (k + 1) * n else None), (poly, axis, c, n)
+    assert touching >= 1000 and splitting >= 1000, (touching, splitting)
 
 
 def test_chord_guard_raises_without_assert():
