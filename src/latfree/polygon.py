@@ -3,23 +3,16 @@
 Polygons are closed regions: boundary points count as contained.  All
 predicates are computed in integer arithmetic, never floats: the
 :class:`Polygon` constructor checks convexity and winding in one pass over
-the vertex coordinates, lattice rows are clipped by integer floor and
-ceiling division, and a chord's rational end parameters stay
-numerator/denominator pairs compared by cross-multiplication.
-
-The chord primitive takes a vertex sequence and a line given as plain
-integers ``(ox, oy) + t*(dx, dy)``.  The type clauses in
-:mod:`latfree.reduction` read it on the lines x1, x2 in n*Z that split the
-polygon, which for an axis line is a comparison with the polygon's
-extremes on that axis.
+the vertex coordinates, and lattice rows are clipped by integer floor and
+ceiling division.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
-from .core import AffineMap, InvariantError, Sublattice, Vec, _new, int_pairs
+from .core import AffineMap, Sublattice, Vec, _new, int_pairs
 
 
 class GeometryError(ValueError):
@@ -238,36 +231,6 @@ def bounding_stats(poly: Polygon) -> BoundingStats:
         west, min(at_w), max(at_w),
         east, min(at_e), max(at_e),
     )
-
-
-def _chord(verts, ox: int, oy: int, dx: int, dy: int) -> Optional[tuple[int, int, int, int]]:
-    """Parameter interval of a counter-clockwise vertex sequence on the line
-    (ox, oy) + t*(dx, dy): ``(lo_num, lo_den, hi_num, hi_den)`` with
-    positive denominators, or None when the line misses.
-
-    Each edge bounds the parameter t on one side by -alpha/beta; the bounds
-    are compared by cross-multiplication.
-    """
-    lo_num = lo_den = hi_num = hi_den = 0
-    ax, ay = verts[-1]
-    for bx, by in verts:
-        ex, ey = bx - ax, by - ay
-        beta = ex * dy - ey * dx
-        alpha = ex * (oy - ay) - ey * (ox - ax)
-        ax, ay = bx, by
-        if beta > 0:
-            if lo_den == 0 or -alpha * lo_den > lo_num * beta:
-                lo_num, lo_den = -alpha, beta
-        elif beta < 0:
-            if hi_den == 0 or alpha * hi_den < hi_num * -beta:
-                hi_num, hi_den = alpha, -beta
-        elif alpha < 0:
-            return None
-    if lo_den == 0 or hi_den == 0:
-        raise InvariantError("a two-dimensional polygon bounds every line on both sides")
-    if lo_num * hi_den > hi_num * lo_den:
-        return None
-    return lo_num, lo_den, hi_num, hi_den
 
 
 def apply_affine(poly: Polygon, m: AffineMap) -> Polygon:

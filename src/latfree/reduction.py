@@ -11,7 +11,9 @@ x2 = n split the image then picks the type and the finishing automorphism.
 Both the table key and the clauses of types II-VI come from one query,
 :func:`_cell`: the cell [k*n, (k+1)*n] of a line x1 = c or x2 = c that
 holds the line's chord, when the line splits the polygon, that is when c
-lies strictly between the polygon's extremes on that axis.
+lies strictly between the polygon's extremes on that axis.  Every chord
+the package reads lies on such an axis line, and :func:`_chord` reads it
+off the boundary edges that reach the line.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from bisect import bisect_left
 from typing import NamedTuple, Optional
 
 from .core import E2, AffineMap, InvariantError, Mat2, Sublattice, Vec, primitive_to
-from .polygon import (
-    Polygon,
-    Segment,
-    _chord,
-    apply_affine,
-    lattice_points_in,
-)
+from .polygon import Polygon, Segment, apply_affine, lattice_points_in
 
 
 class NotLatticeFreeError(ValueError):
@@ -124,6 +120,40 @@ def _diameter(pts: list[Vec]) -> DiameterWitness:
     return DiameterWitness(best, Segment(*best_pair))
 
 
+def _chord(verts, axis: int, c: int) -> Optional[tuple[int, int, int, int]]:
+    """The chord of the line x_axis = c on a counter-clockwise vertex
+    sequence: its least and greatest other coordinate as
+    ``(lo_num, lo_den, hi_num, hi_den)`` with positive denominators, or None
+    when the line misses.
+
+    Counter-clockwise, an edge running towards +x1 bounds the polygon from
+    below and one running towards +x2 from the right; the reversed edges
+    bound it from above and from the left.  Each chain spans the polygon's
+    extent on the axis, so any of its edges that reaches the line gives
+    that end (two meeting edges both give their vertex).
+    """
+    other = 1 - axis
+    forward = backward = None
+    ap, aq = verts[-1][axis], verts[-1][other]
+    for b in verts:
+        bp, bq = b[axis], b[other]
+        if ap < bp:
+            if ap <= c <= bp:
+                den = bp - ap
+                forward = (aq * den + (c - ap) * (bq - aq), den)
+        elif bp < ap:
+            if bp <= c <= ap:
+                den = ap - bp
+                backward = (bq * den + (c - bp) * (aq - bq), den)
+        ap, aq = bp, bq
+    if forward is None and backward is None:
+        return None
+    if forward is None or backward is None:
+        raise InvariantError("a line meets only one chain of the polygon")
+    lo, hi = (forward, backward) if axis == 0 else (backward, forward)
+    return (*lo, *hi)
+
+
 def _chord_cell_index(verts, x1: int, n: int) -> int:
     """Index u with the vertical chord at x1 inside the open strip (u*n, (u+1)*n),
     for a counter-clockwise vertex sequence.
@@ -131,7 +161,7 @@ def _chord_cell_index(verts, x1: int, n: int) -> int:
     Zero when the line misses the polygon.  The chord of an n*Z^2-free
     polygon cannot touch a multiple of n, which the caller relies on.
     """
-    chord = _chord(verts, x1, 0, 0, 1)
+    chord = _chord(verts, 0, x1)
     if chord is None:
         return 0
     lo_num, lo_den, hi_num, hi_den = chord
@@ -193,8 +223,8 @@ def _extent(verts, axis: int) -> tuple[int, int]:
 
 
 def _cell(verts, axis: int, c: int, n: int) -> Optional[int]:
-    """The k with the chord of the line x_axis = c inside [k*n, (k+1)*n],
-    for a counter-clockwise vertex sequence.
+    """The k with the axis chord :func:`_chord` of the line x_axis = c
+    inside [k*n, (k+1)*n], for a counter-clockwise vertex sequence.
 
     None when the line does not split the polygon or when no such k
     exists.  A splitting line's chord has positive length, so k is unique.
@@ -202,8 +232,7 @@ def _cell(verts, axis: int, c: int, n: int) -> Optional[int]:
     lo, hi = _extent(verts, axis)
     if not lo < c < hi:
         return None
-    # the line x_axis = c as (ox, oy, dx, dy), run along the other axis
-    chord = _chord(verts, c, 0, 0, 1) if axis == 0 else _chord(verts, 0, c, 1, 0)
+    chord = _chord(verts, axis, c)
     if chord is None:
         raise InvariantError("a splitting line meets the polygon")
     lo_num, lo_den, hi_num, hi_den = chord
@@ -248,6 +277,8 @@ def _in_axis_slab(lo: int, hi: int, n: int) -> bool:
 def satisfies_type(poly: Polygon, tag: TypeTag) -> bool:
     """Re-verify the defining split/containment clause of a type tag."""
     n = tag.n
+    if n < 1:
+        raise ValueError("the type clauses need n >= 1")
     verts = poly.vertices
     west, east = _extent(verts, 0)
     if tag.kind == "I":

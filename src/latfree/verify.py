@@ -547,6 +547,8 @@ def type_ii_bound_pipeline(
     when b >= 1), bounds each axis face by the large steps, and sums the
     actual instances to 2N <= 4n + 4 - 4b, hence N <= 2n + 2 - 2b.
     """
+    if n < 1:
+        raise ValueError("the type clauses need n >= 1")
     frames = {
         1: Frame(Vec(n, 0), -E1, E2),
         2: Frame(Vec(n, n), -E1, -E2),

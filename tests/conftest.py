@@ -256,13 +256,30 @@ def satisfies_type_oracle(poly: Polygon, tag: TypeTag) -> bool:
 
 def chord_interval(poly: Polygon, line: Line) -> Optional[tuple[Fraction, Fraction]]:
     """Parameter interval of ``poly`` on the line ``anchor + t*direction``
-    as fractions, or None when the line misses the polygon."""
-    (ox, oy), (dx, dy) = line.anchor, line.direction
-    chord = polygon._chord(poly.vertices, ox, oy, dx, dy)
-    if chord is None:
-        return None
-    lo_num, lo_den, hi_num, hi_den = chord
-    return Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+    as fractions, or None when the line misses the polygon.
+
+    The chord reference of the tests, on any line and in Fraction
+    arithmetic: each edge e from a bounds t on one side by -alpha/beta,
+    with beta = e x direction and alpha = e x (anchor - a), and an edge
+    parallel to the line leaves it outside when alpha < 0."""
+    lo = hi = None
+    (ox, oy), (dx, dy) = line
+    ax, ay = poly.vertices[-1]
+    for bx, by in poly.vertices:
+        ex, ey = bx - ax, by - ay
+        beta = ex * dy - ey * dx
+        alpha = ex * (oy - ay) - ey * (ox - ax)
+        ax, ay = bx, by
+        if beta == 0:
+            if alpha < 0:
+                return None
+            continue
+        bound = Fraction(-alpha, beta)
+        if beta > 0:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    return None if lo > hi else (lo, hi)
 
 
 def check_split_exclusion(poly: Polygon, n: int) -> bool:

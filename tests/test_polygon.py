@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latfree import reduction
 from latfree.core import AffineMap, Mat2, Sublattice, Vec
 from latfree.polygon import (
     DegenerateHullError,
@@ -365,30 +366,33 @@ class TestSplits:
                 assert line_splits(poly, Line(a, b - a))
 
 
-def reference_chord(poly, line):
-    # the Fraction algorithm the integer chord replaced
-    lo = hi = None
-    for a, b in poly.edges():
-        e = b - a
-        beta = e.cross(line.direction)
-        alpha = e.cross(line.anchor - a)
-        if beta == 0:
-            if alpha < 0:
-                return None
-            continue
-        bound = Fraction(-alpha, beta)
-        if beta > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    return None if lo > hi else (lo, hi)
-
-
 class TestChordOracle:
     # small hulls have short edges, so a line one step beside an edge is common
+    @given(st.one_of(small_point_sets, point_sets))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, pts):
+        # the library's axis chord on every line x_axis = c from one step
+        # before the polygon's extent to one step after it: lines that miss,
+        # touch a vertex, run along an edge and split
+        try:
+            poly = convex_hull([Vec(*p) for p in pts])
+        except DegenerateHullError:
+            return
+        for axis, line_at in ((0, Line.vertical), (1, Line.horizontal)):
+            coords = [v[axis] for v in poly.vertices]
+            for c in range(min(coords) - 1, max(coords) + 2):
+                want = chord_interval(poly, line_at(c))
+                got = reduction._chord(poly.vertices, axis, c)
+                if want is None:
+                    assert got is None, (poly, axis, c)
+                    continue
+                lo_num, lo_den, hi_num, hi_den = got
+                assert lo_den > 0 and hi_den > 0
+                assert (Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)) == want, (poly, axis, c)
+
     @given(st.one_of(small_point_sets, point_sets), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_matches_fraction_reference(self, pts, data):
+    def test_reference_on_any_line(self, pts, data):
         try:
             poly = convex_hull([Vec(*p) for p in pts])
         except DegenerateHullError:
@@ -419,9 +423,19 @@ class TestChordOracle:
         if direction == Vec(0, 0):
             return
         line = Line(anchor, direction)
-        want = reference_chord(poly, line)
-        assert chord_interval(poly, line) == want
+        want = chord_interval(poly, line)
         sides = {line_side(line, v) for v in poly.vertices}
+        # the line misses iff every vertex lies strictly on one side
+        assert (want is None) == (len(sides) == 1 and 0 not in sides)
+        if want is not None:
+            # both ends lie on the boundary: inside every edge, on one of them
+            for t in want:
+                px, py = anchor.x1 + t * direction.x1, anchor.x2 + t * direction.x2
+                crosses = [
+                    (b.x1 - a.x1) * (py - a.x2) - (b.x2 - a.x2) * (px - a.x1)
+                    for a, b in poly.edges()
+                ]
+                assert min(crosses) == 0
         splits = {-1, 1} <= sides
         assert line_splits(poly, line) == splits
         seg = Segment(anchor, anchor + direction)

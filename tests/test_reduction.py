@@ -500,6 +500,33 @@ def test_chord_guard_raises_without_assert():
         reduction._chord_cell_index(square.vertices, 0, 2)
 
 
+def test_oracles_share_no_chord_code(monkeypatch, corpus_n2, corpus_n3):
+    # the references read every chord with the Fraction algorithm of
+    # chord_interval, never with the library's axis chord
+    calls = count_calls(monkeypatch, "_chord")
+    for n, corpus in ((2, corpus_n2), (3, corpus_n3[::10])):
+        for poly in corpus:
+            image = normalize_oracle(poly, n).image
+            classify_oracle(poly, n)
+            for kind in TAGS:
+                satisfies_type_oracle(image, TypeTag(kind, n))
+            check_split_exclusion(image, n)
+            for c in (0, n):
+                chord_interval(image, Line.vertical(c))
+    assert calls == []
+    # the count is live: the library's normalization reads the chord
+    slab_normalize(corpus_n2[0], 2)
+    assert calls
+
+
+def test_type_clauses_reject_n_below_one():
+    triangle = Polygon([Vec(1, 1), Vec(2, 1), Vec(1, 2)])
+    for n in (0, -1):
+        for kind in TAGS:
+            with pytest.raises(ValueError, match="n >= 1"):
+                satisfies_type(triangle, TypeTag(kind, n))
+
+
 class TestSplitExclusion:
     def test_quad(self):
         assert check_split_exclusion(QUAD, 3)

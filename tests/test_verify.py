@@ -401,6 +401,12 @@ class TestTypeIIPipeline:
         with pytest.raises(ValueError, match="type II"):
             type_ii_bound_pipeline(DIAMOND, 3, Sublattice.zsquare())
 
+    def test_rejects_n_below_one(self):
+        # QUAD is split by x1 = 0 and x2 = 0, whose cells divide by n
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n >= 1"):
+                type_ii_bound_pipeline(QUAD, n, Sublattice.zsquare())
+
     @pytest.mark.parametrize("poly, n, lattice", TYPE_II_CASES, ids=TYPE_II_IDS)
     def test_slope_facts_computed_once(self, monkeypatch, poly, n, lattice):
         slopes_calls = count_calls(monkeypatch, "maximal_slopes")
