@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .core import E1, E2, InvariantError, Mat2, Sublattice, Vec, _new, int_pairs, steps
+from .core import E1, E2, InvariantError, Mat2, Sublattice, Vec, _new, int_pairs, steps, xgcd
 from .polygon import BoundingStats, Polygon, bounding_stats
 
 
@@ -319,17 +319,14 @@ def _require_in_proper(slope: Slope, lattice: Sublattice) -> None:
     _require_in_lattice(slope, lattice)
 
 
-def check_width_bound(
-    slope: Slope,
-    lattice: Optional[Sublattice] = None,
-    skew: Optional[tuple[int, int]] = None,
-) -> CheckReport:
+def check_width_bound(slope: Slope, lattice: Optional[Sublattice] = None) -> CheckReport:
     """Edge count of a slope against the coordinates of its endpoint difference.
 
     With s the number of edges of unit width, 2N <= |b1| + s and
-    |b2| >= s(s+1)/2.  A lattice hint with first-coordinate step > 1 forces
-    s = 0 and 2N <= |b1|; a skew hint (a, m) meaning the vertices lie in the
-    lattice spanned by f1 - a*f2 and m*f2 sharpens the height bound to
+    |b2| >= s(s+1)/2.  A lattice whose small f1-step is above 1 forces
+    s = 0 and 2N <= |b1|.  A lattice whose small f1-step is 1 is spanned by
+    f1 - a*f2 and m*f2 for one a in 1..m; the unit-width edges then drop by
+    distinct amounts in a + mZ, which sharpens the height bound to
     2|b2| >= (2a + (s-1)m) * s.
     """
     if slope.n_edges < 1:
@@ -346,26 +343,26 @@ def check_width_bound(
         failures.append("width")
     if not abs(b.x2) >= s * (s + 1) // 2:
         failures.append("height")
-    if not 0 <= s <= n_edges:
-        failures.append("s_range")
     if lattice is not None:
         _require_in_lattice(slope, lattice)
-        small1 = steps(lattice, slope.f1, slope.f2).small_f1
-        details["small_f1_step"] = small1
-        if small1 > 1:
+        st = steps(lattice, slope.f1, slope.f2)
+        details["small_f1_step"] = st.small_f1
+        if st.small_f1 > 1:
             if s != 0:
                 failures.append("s_zero")
             if not 2 * n_edges <= abs(b.x1):
                 failures.append("width_strict")
-    if skew is not None:
-        a, m = skew
-        if not 1 <= a <= m:
-            raise ValueError("skew hint needs 1 <= a <= m")
-        if any((c.x2 + a * c.x1) % m != 0 for c in coords):
-            raise ValueError("slope vertices do not lie in the skew lattice")
-        details["skew"] = [a, m]
-        if not 2 * abs(b.x2) >= (2 * a + (s - 1) * m) * s:
-            failures.append("height_skew")
+        else:
+            # a Bezout pair of the basis's f1-coordinates gives the lattice
+            # vector f1 + y0*f2, and f1 - a*f2 is in the lattice iff
+            # a = -y0 mod m
+            c = inv @ lattice.basis
+            _, x, y = xgcd(c.a11, c.a12)
+            y0, m = c.a21 * x + c.a22 * y, st.large_f2
+            a = (-y0 - 1) % m + 1
+            details["skew"] = [a, m]
+            if not 2 * abs(b.x2) >= (2 * a + (s - 1) * m) * s:
+                failures.append("height_skew")
     return CheckReport.from_failures(
         "width_bound", details, failures, {"slope": slope.to_obj()} if failures else None
     )

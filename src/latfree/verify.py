@@ -93,37 +93,23 @@ def critical_vertex_count(delta: int, n: int) -> int:
 def construct_extremal(delta: int, n: int) -> Polygon:
     """A polygon with critical_vertex_count - 1 vertices avoiding delta*Z x n*Z.
 
-    Two vertices sit on every usable horizontal row; the quadratic chains
-    x1 = 1 - j(n - j) on the left and x1 = 2 + j(n - j) on the right keep
-    the profile strictly convex.  For delta >= 3 the rows 0..n each carry
-    two vertices; for delta = 2 the outer rows carry one vertex each; for
-    delta = 1 only the interior rows 1..n-1 are used.
+    Two vertices sit on every usable horizontal row j: the rows 0..n for
+    delta >= 3 and the interior rows 1..n-1 otherwise.  With the bulge
+    b(j) = (j - s)(n - s - j), where s = 1 for delta = 1 and s = 0
+    otherwise, the quadratic chains x1 = 2 + b(j) on the right and
+    x1 = 1 - b(j) on the left keep the profile strictly convex.  For
+    delta = 2 the vertices (1, 0) and (1, n) close it at the bottom and top.
     """
     nu = critical_vertex_count(delta, n)
     if nu <= 3:
         raise ValueError("no extremal polygon exists")
-    right: list[Vec] = []
-    left: list[Vec] = []
-    if delta >= 3:
-        for j in range(n + 1):
-            bulge = j * (n - j)
-            right.append(Vec(2 + bulge, j))
-            left.append(Vec(1 - bulge, j))
-        verts = right + left[::-1]
-    elif delta == 2:
-        for j in range(1, n):
-            bulge = j * (n - j)
-            right.append(Vec(2 + bulge, j))
-            left.append(Vec(1 - bulge, j))
-        verts = [Vec(1, 0)] + right + [Vec(1, n)] + left[::-1]
-    else:
-        m = n - 2
-        for j in range(1, n):
-            bulge = (j - 1) * (m - (j - 1))
-            right.append(Vec(2 + bulge, j))
-            left.append(Vec(1 - bulge, j))
-        verts = right + left[::-1]
-    poly = Polygon(verts)
+    rows = range(n + 1) if delta >= 3 else range(1, n)
+    s = 1 if delta == 1 else 0
+    right = [Vec(2 + (j - s) * (n - s - j), j) for j in rows]
+    left = [Vec(1 - (j - s) * (n - s - j), j) for j in reversed(rows)]
+    if delta == 2:
+        right = [Vec(1, 0), *right, Vec(1, n)]
+    poly = Polygon(right + left)
     if len(poly) != nu - 1:
         raise InvariantError(f"extremal polygon has {len(poly)} vertices, expected {nu - 1}")
     if not polygon_free_of(poly, Sublattice.rectangular(delta, n)):
@@ -455,15 +441,10 @@ class VerificationReport(NamedTuple):
 
     def to_obj(self) -> dict:
         return {
+            **self._asdict(),
             "lattice": self.lattice.to_obj(),
             "box": self.box.to_obj(),
-            "max_vertices_found": self.max_vertices_found,
             "witness": None if self.witness is None else self.witness.to_obj(),
-            "nu": self.nu,
-            "consistent": self.consistent,
-            "instances_checked": self.instances_checked,
-            "chains_explored": self.chains_explored,
-            "elapsed_seconds": self.elapsed_seconds,
         }
 
 

@@ -200,7 +200,10 @@ def test_criterion_7_slope_inequality_suite():
                 )
             )
             prof = slope_profile(frame, slope)
-            reports.append(check_width_bound(slope, lattice=lattice, skew=(a_param, m_param)))
+            width = check_width_bound(slope, lattice=lattice)
+            # the sharpened height bound reads the generator's pair off the lattice
+            assert width.details["skew"] == [a_param, m_param]
+            reports.append(width)
             reports.append(check_projection_bound(prof))
             if lattice.is_proper():
                 reports.append(check_sublattice_projection_bound(prof, lattice))

@@ -91,6 +91,61 @@ def test_every_export_has_a_caller():
     assert not unused, f"latfree exports {unused} but nothing in src/latfree or perfbench/ reads them"
 
 
+def _defaulted_params(body: list, cls: str | None = None) -> list:
+    # (callee name, parameter, positional index or None) for every parameter
+    # with a default; a method's index leaves out self or cls, and a class's
+    # __init__ or __new__ goes by the class's name, as its callers call it
+    out = []
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            out += _defaulted_params(node.body, node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = cls if cls and node.name in ("__init__", "__new__") else node.name
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            bound = 1 if cls and not static else 0
+            positional = node.args.posonlyargs + node.args.args
+            for i in range(len(positional) - len(node.args.defaults), len(positional)):
+                out.append((name, positional[i].arg, i - bound))
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    out.append((name, arg.arg, None))
+            out += _defaulted_params(node.body)
+    return out
+
+
+def _passed_params(path: Path) -> set:
+    # (callee name, what a call passes): a positional index, a keyword, "*"
+    # for a starred argument or None for a ** mapping
+    passed = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for i, arg in enumerate(node.args):
+            passed.add((name, "*" if isinstance(arg, ast.Starred) else i))
+        passed |= {(name, kw.arg) for kw in node.keywords}
+    return passed
+
+
+def test_every_option_has_a_setter():
+    # a defaulted parameter that no call in src/latfree or perfbench/ passes
+    # is an option nothing sets: its default is the only value it ever has
+    library = sorted((SRC / "latfree").glob("*.py"))
+    options = [
+        option
+        for path in library
+        for option in _defaulted_params(ast.parse(path.read_text(), filename=str(path)).body)
+    ]
+    callers = library + sorted(PERFBENCH.glob("*.py"))
+    passed = set().union(*(_passed_params(path) for path in callers))
+    unset = [
+        f"{name}({param})"
+        for name, param, index in options
+        if not {(name, param), (name, index), (name, "*"), (name, None)} & passed
+    ]
+    assert not unset, f"options that nothing in src/latfree or perfbench/ sets: {unset}"
+
+
 def test_no_private_names_imported_from_slopes():
     # each slope check takes the profile or the maximal slopes it reads, so
     # no other module needs a private form of it

@@ -345,17 +345,20 @@ class TestWidthBound:
         assert rep.ok and rep.details["small_f1_step"] == 2 and rep.details["s"] == 0
 
     def test_skew_hint(self):
-        # vertices in the lattice spanned by (1, -1) and (0, 3); the
-        # sharpened height bound is tight here: 2*|b2| = 10 = (2a+(s-1)m)*s
+        # vertices in the lattice spanned by (1, -1) and (0, 3), so the
+        # width bound reads (a, m) = (1, 3) off it; the sharpened height
+        # bound is tight here: 2*|b2| = 10 = (2a+(s-1)m)*s
         s = validate_slope([Vec(0, 0), Vec(1, -4), Vec(2, -5)], E1, E2)
-        rep = check_width_bound(s, skew=(1, 3))
+        lattice = Sublattice.from_matrix(Mat2.from_columns(Vec(1, -1), Vec(0, 3)))
+        rep = check_width_bound(s, lattice=lattice)
         assert rep.ok and rep.details["skew"] == [1, 3]
         assert rep.details["s"] == 2 and rep.details["b2"] == -5
 
     def test_skew_membership_required(self):
         s = validate_slope([Vec(0, 0), Vec(1, -1)], E1, E2)
+        lattice = Sublattice.from_matrix(Mat2.from_columns(Vec(1, -2), Vec(0, 3)))
         with pytest.raises(ValueError):
-            check_width_bound(s, skew=(2, 3))
+            check_width_bound(s, lattice=lattice)
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,24 @@ class TestConstructExtremal:
             [Vec(1, 0), Vec(2, 0), Vec(4, 1), Vec(4, 2), Vec(2, 3), Vec(1, 3), Vec(-1, 2), Vec(-1, 1)]
         )
 
+    # delta = 1 (shifted bulge), delta = 2 (capped rows) and delta >= 3,
+    # pinned vertex by vertex
+    @pytest.mark.parametrize(
+        "delta,n,verts",
+        [
+            (2, 4, [(-3, 2), (-2, 1), (1, 0), (5, 1), (6, 2), (5, 3), (1, 4), (-2, 3)]),
+            (1, 4, [(0, 2), (1, 1), (2, 1), (3, 2), (2, 3), (1, 3)]),
+            (1, 5, [(-1, 2), (1, 1), (2, 1), (4, 2), (4, 3), (2, 4), (1, 4), (-1, 3)]),
+            (
+                4,
+                4,
+                [(-3, 2), (-2, 1), (1, 0), (2, 0), (5, 1), (6, 2), (5, 3), (2, 4), (1, 4), (-2, 3)],
+            ),
+        ],
+    )
+    def test_pinned_vertices(self, delta, n, verts):
+        assert construct_extremal(delta, n).vertices == tuple(Vec(*v) for v in verts)
+
     def test_doubled_lattice(self):
         poly = construct_extremal(2, 2)
         assert len(poly) == 4
