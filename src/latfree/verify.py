@@ -19,17 +19,19 @@ start and edge.
 
 Angles are compared as direction ranks: the primitive directions of the
 box's differences, sorted once per box by exact cross products.  The DP
-runs eagerly, once per start.  It tests each pair of later points for a
-free fan triangle once, with the lattice points sliced by their rank from
-p.  It then solves the free edges in decreasing rank, so the edges that
-may follow an edge, those at its head in a window of ranks above its own,
-are solved before it.  Their counts and longest completions are read from
-per-vertex tables by bisection.
+runs eagerly, once per start.  It tests each pair of later points on
+different rays from p for a free fan triangle once, with the lattice
+points sliced by their rank from p, and keeps the edge that turns left
+around p.  It then solves the free edges in decreasing rank, so the edges
+that may follow an edge, those at its head in a window of ranks above its
+own, are solved before it.  Their counts and longest completions are read
+from per-vertex tables by bisection.
 
 The threshold check (``verify``) reads the count, the largest vertex count
-and one witness off the DP.  ``chains_explored`` counts the states, the
-last edges, that a chain search from p reaches, edges with no completion
-included; a second pass, in increasing rank, counts them.  The stream
+and one witness off the DP.  ``chains_explored`` counts the edges the DP
+solves, edges with no completion included.  Each is a state, a last edge,
+that the chain search from p reaches: a first edge, or an edge that turns
+left around p after the free first edge to its tail.  The stream
 (``enumerate``) walks the DP's live edges depth-first and enters only
 states that have a successor and a completion of at least
 ``min_vertices`` vertices, so every state it enters lies on an emitted
@@ -178,13 +180,14 @@ def _fan_edges(grid: _Grid, i0: int) -> tuple:
     start p = cand[i0].
 
     The vertices are the later candidates in scan order, tail[k] as k, and
-    p as m = len(tail).  An edge u -> v is free when its fan triangle
-    (p, u, v) holds no lattice point, on its boundary included; when p, u
-    and v lie on one line, when a lattice point lies anywhere on that
-    line.  An edge from p is free when its segment is.  Each unordered
-    pair is tested once, and both its edges are free or neither is.
-    Returns (rp, by_rank): rp[k] is the rank of tail[k] - p, and
-    by_rank[s] = (us, vs) lists the free edges us[i] -> vs[i] of rank s.
+    p as m = len(tail).  A polygon whose lowest vertex is p sees its other
+    vertices at strictly rising angle from p, so each of its edges u -> v
+    turns left around p.  Only those edges are listed: p -> b when its
+    segment holds no lattice point, and u -> v when u and v lie on
+    different rays from p, v at the larger rank, and the fan triangle
+    (p, u, v) holds no lattice point, on its boundary included.  Returns
+    (rp, by_rank): rp[k] is the rank of tail[k] - p, and by_rank[s] =
+    (us, vs) lists the free edges us[i] -> vs[i] of rank s.
     """
     rank, off, upper = grid.rank, grid.off, grid.upper
     pid = grid.ids[i0]
@@ -200,8 +203,6 @@ def _fan_edges(grid: _Grid, i0: int) -> tuple:
     for lid in upper_lat:
         r = rank[base + lid]
         nearest[r] = min(abs(lid - pid), nearest.get(r, math.inf))
-    # the lines through p that hold a lattice point, below p included
-    lines = {rank[base + lid] % upper for lid in grid.lat}
     # A point behind a lattice point on its ray from p lies on no free
     # edge: every fan triangle at it covers that segment.  The others,
     # grouped by ray and ordered outwards.
@@ -225,18 +226,9 @@ def _fan_edges(grid: _Grid, i0: int) -> tuple:
             us[r].append(m)
             vs[r].append(b)
     for gi, r in enumerate(order):
-        ray = rays[r]
-        line_free = r not in lines
         last = r + upper - 1
-        for i, u in enumerate(ray):
+        for u in rays[r]:
             b0 = off - tids[u]
-            if line_free:
-                # v beyond u on the ray: u -> v has rank r, v -> u r + upper
-                for v in ray[i + 1 :]:
-                    us[r].append(u)
-                    vs[r].append(v)
-                    us[r + upper].append(v)
-                    vs[r + upper].append(u)
             # For v on a later ray, the triangle (p, u, v) holds the lattice
             # points l of rank from p in [r, rank(v - p)] on p's side of uv:
             # those with rank(l - u) >= rank(v - u).  Both differences point
@@ -255,47 +247,36 @@ def _fan_edges(grid: _Grid, i0: int) -> tuple:
                 for v in rays[order[gj]]:
                     s = rank[b0 + tids[v]]
                     if s > t:
-                        o = s + upper if s < upper else s - upper
                         us[s].append(u)
                         vs[s].append(v)
-                        us[o].append(v)
-                        vs[o].append(u)
     return rp, list(zip(us, vs))
 
 
 def _fan_dp(grid: _Grid, i0: int) -> tuple:
     """The fan DP for the start p = cand[i0], over the free edges of
-    ``_fan_edges``.  Returns (tail, out, count, edges):
+    ``_fan_edges``.  Returns (tail, out, count, solved):
 
     - ``out[x]``: the live edges from vertex x (p when x is m), those that
       complete to a polygon, in decreasing rank, each as (k, longest,
       lo, hi): its head tail[k], the most vertices a completion adds, and
       the window out[k][lo:hi] of live edges that may follow it;
     - ``count``: the number of polygons from p;
-    - ``edges``: ``_fan_edges``'s (rp, by_rank).
+    - ``solved``: the number of free edges solved, live or not.
 
     An edge u -> v of rank s continues with the edges from v of rank in
     (s, s + upper) when s < upper, and in (s, 2 * upper) otherwise.  That
     is the strict left turn plus no edge back in the upper half-plane once
     one has left it.  The chain closes at p by the same rule: the closing
-    edge v -> p has rank rp[v] + upper.  The turn at p needs no test: the
-    edge angles rise within [0, 2*pi), so the turn from the closing edge
-    back to the first is positive.  Edges are solved
-    in decreasing rank, one equal-rank group at a time, so each window is
-    a suffix of out[v] when it is read.
-
-    A polygon whose lowest vertex is p sees its vertices at strictly
-    rising angle from p, so an edge u -> v on it turns left around p:
-    its rank lies in (rp[u], rp[u] + upper).  The other free edges are
-    skipped unsolved.  One that lies in the window of a kept edge could
-    only go on turning back around p and never closes, so it was never
-    live there: each kept edge keeps its count, its longest completion
-    and the live edges of its window.
+    edge v -> p has rank rp[v] + upper, so it follows when
+    s - upper < rp[v] < s.  The turn at p needs no test: the edge angles
+    rise within [0, 2*pi), so the turn from the closing edge back to the
+    first is positive.  Edges are solved in decreasing rank, one
+    equal-rank group at a time, so each window is a suffix of out[v] when
+    it is read.
     """
-    rp, by_rank = edges = _fan_edges(grid, i0)
+    rp, by_rank = _fan_edges(grid, i0)
     upper = grid.upper
     m = len(rp)
-    rq = rp + [-1]  # p's own rank, below that of each first edge
     # per vertex: the negated ranks of out[x], for bisect; prefix sums of
     # the counts; and a stack of (position, longest) with longest falling,
     # whose first entry at or after a position is the window's maximum
@@ -309,27 +290,15 @@ def _fan_dp(grid: _Grid, i0: int) -> tuple:
         if not us:
             continue
         live = []
-        if s < upper:
-            cut = -s - upper
-            for u, v in zip(us, vs):
-                if rq[u] >= s:
-                    continue
-                nr = negr[v]
-                lo, hi = bisect_right(nr, cut), len(nr)
-                c = cum[v]
-                count = c[hi] - c[lo] + (rp[v] < s)
-                if count:
-                    longest = sval[v][bisect_left(spos[v], lo)] + 1 if lo < hi else 0
-                    live.append((u, v, count, longest, lo, hi))
-        else:
-            close = s - upper
-            for u, v in zip(us, vs):
-                if rp[u] <= close:  # no edge from p has rank upper or more
-                    continue
-                hi = len(negr[v])
-                count = cum[v][hi] + (rp[v] > close)
-                if count:
-                    live.append((u, v, count, sval[v][0] + 1 if hi else 0, 0, hi))
+        cut, close = -s - upper, s - upper
+        for u, v in zip(us, vs):
+            nr = negr[v]
+            lo, hi = bisect_right(nr, cut), len(nr)
+            c = cum[v]
+            count = c[hi] - c[lo] + (close < rp[v] < s)
+            if count:
+                longest = sval[v][bisect_left(spos[v], lo)] + 1 if lo < hi else 0
+                live.append((u, v, count, longest, lo, hi))
         for u, v, count, longest, lo, hi in live:
             negr[u].append(-s)
             c = cum[u]
@@ -341,34 +310,7 @@ def _fan_dp(grid: _Grid, i0: int) -> tuple:
             sp.append(len(out[u]))
             sv.append(longest)
             out[u].append((v, longest, lo, hi))
-    return grid.cand[i0 + 1 :], out, cum[m][-1], edges
-
-
-def _states(edges: tuple, upper: int) -> int:
-    """How many states (last edges) the chain search from p reaches: the
-    free first edges, then every free edge that may follow a reached one.
-    One pass in increasing rank keeps, per vertex, the largest rank below
-    ``upper`` of a reached edge into it and whether one of rank ``upper``
-    or more has arrived.  Edges that cannot complete to a polygon count
-    too, among them those with p, u and v on one line."""
-    rp, by_rank = edges
-    m = len(rp)
-    top = [-upper] * m + [upper]  # no edge yet, and p reaches its first edges
-    down = [False] * (m + 1)
-    reached = 0
-    for s, (us, vs) in enumerate(by_rank):
-        if not us:
-            continue
-        low = s - upper
-        hit = [v for u, v in zip(us, vs) if top[u] > low or down[u]]
-        reached += len(hit)
-        if s < upper:
-            for v in hit:
-                top[v] = s
-        else:
-            for v in hit:
-                down[v] = True
-    return reached
+    return grid.cand[i0 + 1 :], out, cum[m][-1], sum(len(us) for us, _ in by_rank)
 
 
 def enumerate_free_polygons(
@@ -413,10 +355,10 @@ def enumerate_free_polygons(
 
 
 def _longest(grid: _Grid, i0: int) -> tuple:
-    """(chain, count, DP states) for the start cand[i0], where the chain is
+    """(chain, count, solved edges) for the start cand[i0], where the chain is
     the lexicographically smallest longest polygon, () when no polygon
     starts there."""
-    tail, out, count, edges = _fan_dp(grid, i0)
+    tail, out, count, solved = _fan_dp(grid, i0)
     # from p and then from each state take, among the successors with the
     # longest completion, the smallest as (x1, x2); scan order is (x2, x1),
     # so the first of them is not always the smallest
@@ -425,7 +367,7 @@ def _longest(grid: _Grid, i0: int) -> tuple:
     while lo < hi:
         x, _, lo, hi = min(out[x][lo:hi], key=lambda e: (-e[1], tail[e[0]]))
         chain.append(tail[x])
-    return tuple(chain), count, _states(edges, grid.upper)
+    return tuple(chain), count, solved
 
 
 class VerificationReport(NamedTuple):
@@ -436,7 +378,7 @@ class VerificationReport(NamedTuple):
     nu: int
     consistent: bool
     instances_checked: int
-    chains_explored: int  # fan-DP states a chain search reaches, summed over the starts
+    chains_explored: int  # free edges the fan DP solves, summed over the starts
     elapsed_seconds: float
 
     def to_obj(self) -> dict:

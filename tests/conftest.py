@@ -72,7 +72,8 @@ def dfs_chains(lattice: Sublattice, box: SearchBox, states: set) -> Iterator[tup
     is the one ``enumerate_free_polygons`` promises.
 
     ``states`` gains every (p, last edge) the DFS visits, free first edges
-    included, whether or not the chain completes to a polygon: the states
+    included, whether or not the chain completes to a polygon.  Those
+    whose last edge starts at p or turns left around p are the states
     that ``chains_explored`` counts."""
     cand, lpts = [], []
     for y in range(box.x2_min, box.x2_max + 1):

@@ -411,6 +411,31 @@ def test_malformed_json_is_usage_error(files, capsys, command, payload):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["analyze", "{}"], id="analyze"),
+        pytest.param(["normalize", "{}", "--n", "3"], id="normalize"),
+        pytest.param(["classify", "{}", "--n", "3"], id="classify"),
+        pytest.param(["slopes", "{}", "--origin", "0,0"], id="slopes"),
+        pytest.param(["check-bounds", "{}", "--lattice", "z2.json", "--n", "3"], id="check-bounds"),
+        pytest.param(["enumerate", "--lattice", "{}", "--box", "0,2,0,2"], id="enumerate"),
+        pytest.param(["verify", "--lattice", "{}", "--box", "0,2,0,2"], id="verify"),
+    ],
+)
+def test_deeply_nested_json_is_usage_error(files, capsys, command):
+    # the decoder gives up on deep nesting with a RecursionError
+    tmp, write = files
+    write("z2.json", {"delta": 1, "n": 1})
+    deep = tmp / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [str(deep) if arg == "{}" else str(tmp / arg) if arg.endswith(".json") else arg for arg in command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_classification_miss_exits_two(files, capsys, monkeypatch):
     from latfree import reduction
 

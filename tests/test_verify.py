@@ -1,7 +1,9 @@
 import collections
+import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -225,13 +227,13 @@ DFS_BOXES = {
 
 @pytest.fixture(scope="class", params=list(DFS_BOXES.values()), ids=list(DFS_BOXES))
 def dfs_box(request):
-    """(lattice, box, every chain of the DFS oracle, how many states it
+    """(lattice, box, every chain of the DFS oracle, the states it
     visits)."""
     lattice, box = request.param
     box = box or default_box(lattice)
     states: set = set()
     chains = list(dfs_chains(lattice, box, states))
-    return lattice, box, chains, len(states)
+    return lattice, box, chains, states
 
 
 def _as_polygon(chain: tuple) -> tuple:
@@ -240,11 +242,18 @@ def _as_polygon(chain: tuple) -> tuple:
     return chain[i:] + chain[:i]
 
 
-def _dfs_facts(chains: list, states: int) -> tuple:
-    # max, count, witness and states as the DFS oracle finds them
+def _dfs_facts(chains: list, states: set) -> tuple:
+    # max, count, witness and states as the DFS oracle finds them; the
+    # states counted are those (p, u, v) whose last edge starts at p or
+    # turns left around p, the edges a polygon from p can use
     best = min(chains, key=lambda c: (-len(c), c), default=None)
     witness = None if best is None else Polygon(best)
-    return (0 if best is None else len(best), len(chains), witness, states)
+    solved = sum(
+        1
+        for (px, py), (ux, uy), (vx, vy) in states
+        if (ux, uy) == (px, py) or (ux - px) * (vy - py) - (uy - py) * (vx - px) > 0
+    )
+    return (0 if best is None else len(best), len(chains), witness, solved)
 
 
 def _report_facts(rep) -> tuple:
@@ -276,6 +285,77 @@ def oracle_cases(draw):
     return lattice, SearchBox(x1, x1 + w - 1, x2, x2 + h - 1), draw(st.integers(3, 6))
 
 
+def _direction_ranks(box: SearchBox) -> dict:
+    # every primitive difference of two box points, numbered by angle on
+    # [0, 2*pi): first the upper half-plane, then by cross products
+    w, h = box.x1_max - box.x1_min, box.x2_max - box.x2_min
+    dirs = [
+        (dx, dy)
+        for dx in range(-w, w + 1)
+        for dy in range(-h, h + 1)
+        if math.gcd(dx, dy) == 1
+    ]
+
+    def half(d):
+        return 0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1
+
+    def before(a, b):
+        return half(a) - half(b) or a[1] * b[0] - a[0] * b[1]
+
+    dirs.sort(key=functools.cmp_to_key(before))
+    return {d: r for r, d in enumerate(dirs)}
+
+
+def _check_free_edges(lattice: Sublattice, box: SearchBox) -> None:
+    """``_fan_edges`` against brute force, from every start p: the edges
+    p -> b whose segment holds no lattice point, and the edges u -> v that
+    turn left around p and whose closed fan triangle (p, u, v) holds
+    none, each listed once at the rank of its direction.  ``_fan_dp``
+    solves exactly these edges."""
+    ranks = _direction_ranks(box)
+    cand, lpts = [], []
+    for y in range(box.x2_min, box.x2_max + 1):
+        for x in range(box.x1_min, box.x1_max + 1):
+            (lpts if lattice.contains(Vec(x, y)) else cand).append((x, y))
+    grid = verify._prepare(lattice, box)
+    assert grid.cand == cand
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def rank(a, b):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        g = math.gcd(dx, dy)
+        return ranks[dx // g, dy // g]
+
+    def segment_free(a, b):
+        return not any(
+            cross(a, b, l) == 0 and min(a, b) <= l <= max(a, b) for l in lpts
+        )
+
+    def triangle_free(p, u, v):
+        # (p, u, v) is counter-clockwise
+        return not any(
+            cross(p, u, l) >= 0 and cross(u, v, l) >= 0 and cross(v, p, l) >= 0 for l in lpts
+        )
+
+    for i0, p in enumerate(cand):
+        tail = cand[i0 + 1 :]
+        m = len(tail)
+        want = {(rank(p, b), m, k) for k, b in enumerate(tail) if segment_free(p, b)}
+        want |= {
+            (rank(tail[u], tail[v]), u, v)
+            for u, v in itertools.permutations(range(m), 2)
+            if cross(p, tail[u], tail[v]) > 0 and triangle_free(p, tail[u], tail[v])
+        }
+        _, by_rank = verify._fan_edges(grid, i0)
+        got = collections.Counter(
+            (s, u, v) for s, (us, vs) in enumerate(by_rank) for u, v in zip(us, vs)
+        )
+        assert set(got) == want and set(got.values()) <= {1}, p
+        assert verify._fan_dp(grid, i0)[3] == len(want)
+
+
 class TestFanDP:
     def test_matches_dfs(self, dfs_box):
         # max, count, witness and states; the witness is the longest
@@ -298,32 +378,19 @@ class TestFanDP:
         lattice, box, k = case
         states: set = set()
         chains = list(dfs_chains(lattice, box, states))
-        assert _report_facts(verify_vertex_threshold(lattice, box)) == _dfs_facts(chains, len(states))
+        assert _report_facts(verify_vertex_threshold(lattice, box)) == _dfs_facts(chains, states)
         got = [p.vertices for p in enumerate_free_polygons(lattice, box, k)]
         assert got == [_as_polygon(c) for c in chains if len(c) >= k]
 
-    def test_backward_pass_skips_edges_that_turn_back(self, monkeypatch):
-        # A polygon whose lowest vertex is p sees its vertices at strictly
-        # rising angle from p, so only edges u -> v that turn left around
-        # p are solved: below rank `upper` one bisection each, and no live
-        # edge turns right or runs along a ray from p.
-        grid = verify._prepare(Sublattice.rectangular(3, 3), SearchBox(-2, 5, -1, 4))
-        queries = count_calls(monkeypatch, "bisect_right")
-        skipped = 0
-        for i0, (px, py) in enumerate(grid.cand):
-            queries.clear()
-            tail, out, _, (rp, by_rank) = verify._fan_dp(grid, i0)
-            m = len(rp)
-            free = [(u, s) for s in range(grid.upper) for u in by_rank[s][0]]
-            turning = sum(1 for u, s in free if u == m or rp[u] < s)
-            assert len(queries) == turning
-            skipped += len(free) - turning
-            for x in range(m):
-                (ax, ay) = tail[x]
-                for k, *_ in out[x]:
-                    bx, by = tail[k]
-                    assert (ax - px) * (by - ay) - (ay - py) * (bx - ax) > 0
-        assert skipped > 0
+    def test_free_edges_match_oracle(self, dfs_box):
+        lattice, box, _, _ = dfs_box
+        _check_free_edges(lattice, box)
+
+    @given(oracle_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_random_free_edges_match_oracle(self, case):
+        lattice, box, _ = case
+        _check_free_edges(lattice, box)
 
     def test_settles_4_4_on_the_slab_box(self):
         # out of the DFS's reach: the first n = 4 slab-box answer
@@ -332,7 +399,7 @@ class TestFanDP:
         assert rep.box == SearchBox(-3, 7, -3, 7)
         assert rep.max_vertices_found == 10 == rep.nu - 1
         assert rep.instances_checked == 7_181_187
-        assert rep.chains_explored == 184_999  # DP states over the 117 starts
+        assert rep.chains_explored == 123_932  # DP states over the 117 starts
         assert rep.consistent
         assert len(rep.witness) == 10 and polygon_free_of(rep.witness, lattice)
 
@@ -343,9 +410,20 @@ class TestFanDP:
         assert rep.box == SearchBox(-4, 9, -4, 9)
         assert rep.max_vertices_found == 12 == rep.nu - 1
         assert rep.instances_checked == 327_816_568
-        assert rep.chains_explored == 844_056  # DP states over the 192 starts
+        assert rep.chains_explored == 563_028  # DP states over the 192 starts
         assert rep.consistent
         assert len(rep.witness) == 12 and polygon_free_of(rep.witness, lattice)
+
+    @pytest.mark.slow
+    def test_settles_6_6_on_the_slab_box(self):
+        lattice = Sublattice.rectangular(6, 6)
+        rep = verify_vertex_threshold(lattice)
+        assert rep.box == SearchBox(-5, 11, -5, 11)
+        assert rep.max_vertices_found == 14 == rep.nu - 1
+        assert rep.instances_checked == 11_317_540_633
+        assert rep.chains_explored == 1_883_780
+        assert rep.consistent
+        assert len(rep.witness) == 14 and polygon_free_of(rep.witness, lattice)
 
 
 class TestTypeVertexBound:
