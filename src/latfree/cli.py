@@ -160,7 +160,7 @@ def _cmd_analyze(args) -> int:
     print(f"pick:            interior={pick.interior} boundary={pick.boundary} holds={pick.holds}")
     print(f"lattice diameter: {diameter.length} on {tuple(diameter.segment.a)}..{tuple(diameter.segment.b)}")
     print(f"bounding stats:  {stats}")
-    print(f"slope edges:     N_k={ms.edge_counts} M_k={(ms.m1, ms.m2, ms.m3, ms.m4)}")
+    print(f"slope edges:     N_k={ms.edge_counts} M_k={ms.faces}")
     if args.svg:
         _svg_dump(poly, args.svg)
     _write_out(
@@ -171,7 +171,7 @@ def _cmd_analyze(args) -> int:
             "pick": {"interior": pick.interior, "boundary": pick.boundary, "holds": pick.holds},
             "lattice_diameter": diameter.length,
             "bounding_stats": stats._asdict(),
-            "maximal_slopes": {"edges": list(ms.edge_counts), "m": [ms.m1, ms.m2, ms.m3, ms.m4]},
+            "maximal_slopes": {"edges": list(ms.edge_counts), "m": list(ms.faces)},
         },
     )
     return 0
@@ -236,7 +236,7 @@ def _cmd_slopes(args) -> int:
         print(f"small angle:     {prof.small_angle}")
         print(
             f"profile:         k={prof.k} alpha={prof.alpha} t={prof.t} s={prof.s} "
-            f"pi1={prof.pi1} pi2={prof.pi2} pihat={prof.pihat}"
+            f"pi1={prof.coords[-1].x1} pi2={prof.coords[0].x2} pihat={prof.pihat}"
         )
         reports.append(check_projection_bound(prof))
         reports.append(check_profile_ledger(prof, proper))

@@ -106,30 +106,22 @@ def validate_slope(vertices: list[Vec] | tuple[Vec, ...], f1: Vec, f2: Vec) -> S
 class MaximalSlopes(NamedTuple):
     """The four monotone boundary arcs of a polygon between axis extrema.
 
-    q4 runs counter-clockwise from the west-bottom corner to the south-left
-    corner in basis (e1, e2); q1, q2, q3 continue around in the rotated
-    bases.  m1..m4 flag nondegenerate bottom/right/top/left faces.  The
-    polygon's bounding stats are kept, so one build with
-    :func:`maximal_slopes` gives the type II pipeline the slopes, the face
-    flags and the face widths it reads.
+    slopes holds q1..q4: q4 runs counter-clockwise from the west-bottom
+    corner to the south-left corner in basis (e1, e2); q1, q2, q3 continue
+    around in the rotated bases.  faces holds m1..m4, which flag
+    nondegenerate bottom/right/top/left faces.  The polygon's bounding
+    stats are kept, so one build with :func:`maximal_slopes` gives the
+    type II pipeline the slopes, the face flags and the face widths it
+    reads.
     """
 
-    q1: Slope
-    q2: Slope
-    q3: Slope
-    q4: Slope
-    m1: int
-    m2: int
-    m3: int
-    m4: int
+    slopes: tuple[Slope, Slope, Slope, Slope]
+    faces: tuple[int, int, int, int]
     stats: BoundingStats
 
     @property
     def edge_counts(self) -> tuple[int, int, int, int]:
-        return (self.q1.n_edges, self.q2.n_edges, self.q3.n_edges, self.q4.n_edges)
-
-    def slope(self, k: int) -> Slope:
-        return (self.q1, self.q2, self.q3, self.q4)[k - 1]
+        return tuple(q.n_edges for q in self.slopes)
 
 
 def _arc(poly: Polygon, start: Vec, stop: Vec, f1: Vec, f2: Vec) -> Slope:
@@ -148,17 +140,13 @@ def maximal_slopes(poly: Polygon) -> MaximalSlopes:
     q1 = _arc(poly, Vec(s.south_plus, s.south), Vec(s.east, s.east_minus), E2, -E1)
     q2 = _arc(poly, Vec(s.east, s.east_plus), Vec(s.north_plus, s.north), -E1, -E2)
     q3 = _arc(poly, Vec(s.north_minus, s.north), Vec(s.west, s.west_plus), -E2, E1)
-    return MaximalSlopes(
-        q1,
-        q2,
-        q3,
-        q4,
+    faces = (
         int(s.south_minus != s.south_plus),
         int(s.east_minus != s.east_plus),
         int(s.north_minus != s.north_plus),
         int(s.west_minus != s.west_plus),
-        s,
     )
+    return MaximalSlopes((q1, q2, q3, q4), faces, s)
 
 
 # --- splitting frames -------------------------------------------------------
@@ -180,9 +168,10 @@ class SlopeProfile(NamedTuple):
     """Combinatorial data of a slope relative to a splitting frame.
 
     Everything is expressed in frame coordinates, with the vertex order
-    normalized so the walk starts at the (-,+) endpoint.  A profile exists
-    only for a frame that splits the slope: :func:`slope_profile` returns
-    None otherwise.
+    normalized so the walk starts at the (-,+) endpoint v = coords[0] and
+    ends at the (+,-) endpoint w = coords[-1].  A profile exists only for
+    a frame that splits the slope: :func:`slope_profile` returns None
+    otherwise.
 
     k: index of the first vertex strictly below the frame axis.
     alpha: direction ratio a_k1 / -a_k2 of the axis-crossing edge.
@@ -190,9 +179,10 @@ class SlopeProfile(NamedTuple):
     s_edges: indices i < k of edges that drop by exactly one; s = len.
     delta_flag: 1 when the crossing starts strictly above the axis and
         alpha is an integer.
-    pi1/pi2: total positive-part projections onto the two frame axes;
-        pihat = pi1 + pi2 - 2 * edges, split into the head (edges up to k)
-        and the tail (edges after k).
+
+    The positive-part projections of the walk onto the two frame axes
+    telescope to its endpoints, pi1 = w1 and pi2 = v2, so they are not
+    stored: :attr:`pihat` reads them off v and w.
 
     The frame and the slope are kept, so build this once with
     :func:`slope_profile` and pass it to each projection check.
@@ -204,11 +194,6 @@ class SlopeProfile(NamedTuple):
     s: int
     s_edges: tuple[int, ...]
     delta_flag: int
-    pi1: int
-    pi2: int
-    pihat: int
-    pihat_head: int
-    pihat_tail: int
     coords: tuple[Vec, ...]
     frame: Frame
     slope: Slope
@@ -221,6 +206,11 @@ class SlopeProfile(NamedTuple):
     def small_angle(self) -> bool:
         """True iff the crossing edge's direction ratio is at least one."""
         return self.alpha >= 1
+
+    @property
+    def pihat(self) -> int:
+        """pi1 + pi2 - 2N = w1 + v2 - 2N."""
+        return self.coords[-1].x1 + self.coords[0].x2 - 2 * self.n_edges
 
 
 def slope_profile(frame: Frame, slope: Slope) -> Optional[SlopeProfile]:
@@ -254,26 +244,8 @@ def slope_profile(frame: Frame, slope: Slope) -> Optional[SlopeProfile]:
     t = -(a1 // a2) - 1  # ceil(alpha) - 1, as -a2 > 0
     s_edges = tuple(i for i in range(1, k) if edges[i - 1][1] == -1)
     delta_flag = int(coords[k - 1][1] > 0 and a1 % a2 == 0)
-
-    pi1 = pi2 = pihat_head = pihat_tail = 0
-    px, py = ax, ay
-    for i, (qx, qy) in enumerate(coords[1:], start=1):
-        # the positive-part projections of the edge from p to q
-        p1 = (qx if qx > 0 else 0) - (px if px > 0 else 0)
-        p2 = (py if py > 0 else 0) - (qy if qy > 0 else 0)
-        pi1 += p1
-        pi2 += p2
-        if i <= k:
-            pihat_head += p1 + p2 - 2
-        else:
-            pihat_tail += p1 + p2 - 2
-        px, py = qx, qy
-    pihat = pi1 + pi2 - 2 * len(edges)
-    if pihat != pihat_head + pihat_tail:
-        raise InvariantError("projection sums disagree with their head/tail split")
     return SlopeProfile(
-        k, alpha, t, len(s_edges), s_edges, delta_flag, pi1, pi2, pihat,
-        pihat_head, pihat_tail, tuple(coords), frame, slope,
+        k, alpha, t, len(s_edges), s_edges, delta_flag, tuple(coords), frame, slope
     )
 
 
@@ -381,8 +353,9 @@ def check_projection_bound(prof: SlopeProfile) -> CheckReport:
     """Doubled edge count against the positive-part projections.
 
     Exhibits witnesses (s, t): the profile values when the frame forms a
-    small angle, (0, 0) otherwise.  Always asserts 2N <= v2 + w1; in the
-    small-angle case additionally 2N <= v2 + w1 - t + s - ceil(-w2/2) + 1.
+    small angle, (0, 0) otherwise.  Always asserts 2N <= v2 + w1, which
+    is pihat >= 0 (the clause ``projection_plain``); in the small-angle
+    case additionally 2N <= v2 + w1 - t + s - ceil(-w2/2) + 1.
     """
     coords = prof.coords
     v, w = coords[0], coords[-1]
@@ -416,7 +389,8 @@ def check_projection_bound(prof: SlopeProfile) -> CheckReport:
 
 
 def check_sublattice_projection_bound(prof: SlopeProfile, lattice: Sublattice) -> CheckReport:
-    """For slopes with vertices in a proper sublattice: 2N <= v2 + w1 - 1."""
+    """For slopes with vertices in a proper sublattice: 2N <= v2 + w1 - 1,
+    which is pihat >= 1."""
     _require_in_proper(prof.slope, lattice)
     v, w = prof.coords[0], prof.coords[-1]
     details = {"n_edges": prof.n_edges, "v": list(v), "w": list(w)}
@@ -437,22 +411,26 @@ def check_profile_ledger(
     s <= t with the partial-sum refinement on the unit-drop edges; a lower
     bound on the head part of pihat; a lower bound on the tail part under a
     small angle; and pihat >= 1 when the vertices lie in a proper
-    sublattice.
+    sublattice.  The head sums the edges up to c_k and telescopes to
+    x1(c_k) + v2 - 2k; the tail is pihat less the head.
     """
     if lattice is not None:
         _require_in_proper(prof.slope, lattice)
     coords = prof.coords
-    edges = [coords[i] - coords[i - 1] for i in range(1, len(coords))]
     k, t, s = prof.k, prof.t, prof.s
+    # c_k lies in the open fourth quadrant: the walk crosses x1 = 0 above
+    # the origin before it drops below x2 = 0
+    pihat = prof.pihat
+    pihat_head = coords[k].x1 + coords[0].x2 - 2 * k
+    pihat_tail = pihat - pihat_head
     details = {
         "k": k, "alpha": str(prof.alpha), "t": t, "s": s,
-        "pihat": prof.pihat, "pihat_head": prof.pihat_head,
-        "pihat_tail": prof.pihat_tail,
+        "pihat": pihat, "pihat_head": pihat_head, "pihat_tail": pihat_tail,
     }
     failures = []
     if not s <= t:
         failures.append("s_le_t")
-    s_width = sum(edges[i - 1].x1 for i in prof.s_edges)
+    s_width = sum(coords[i].x1 - coords[i - 1].x1 for i in prof.s_edges)
     if not s_width <= (t - s) * s + s * (s + 1) // 2:
         failures.append("unit_drop_width")
     vk1_pos = max(coords[k - 1].x1, 0)
@@ -463,12 +441,12 @@ def check_profile_ledger(
         + math.floor((-coords[k].x2 - 1) * prof.alpha)
     )
     details["head_rhs"] = head_rhs
-    if not prof.pihat_head >= head_rhs:
+    if not pihat_head >= head_rhs:
         failures.append("head_bound")
     if prof.small_angle:
-        if not 2 * prof.pihat_tail >= coords[k].x2 - coords[-1].x2 - 1:
+        if not 2 * pihat_tail >= coords[k].x2 - coords[-1].x2 - 1:
             failures.append("tail_bound")
-    if lattice is not None and not prof.pihat >= 1:
+    if lattice is not None and not pihat >= 1:
         failures.append("pihat_positive")
     return CheckReport.from_failures(
         "profile_ledger", details, failures, _context(prof) if failures else None

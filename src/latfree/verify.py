@@ -490,7 +490,7 @@ def type_ii_bound_pipeline(
     for k, frame in frames.items():
         prof = None
         if not poly.contains(frame.origin):
-            prof = slope_profile(frame, ms.slope(k))
+            prof = slope_profile(frame, ms.slopes[k - 1])
             if prof is None:
                 raise InvariantError(f"frame does not split maximal slope {k}")
         profs[k] = prof
@@ -531,7 +531,6 @@ def type_ii_bound_pipeline(
         slope_rows.append({"k": k, "edges": prof.n_edges, "bound": bound, "check": check})
     details["slopes"] = slope_rows
 
-    m_vals = (ms.m1, ms.m2, ms.m3, ms.m4)
     stats = ms.stats
     gaps = (
         stats.south_plus - stats.south_minus,
@@ -542,15 +541,15 @@ def type_ii_bound_pipeline(
     # the step bounds: a nondegenerate axis face spans at least one large
     # step of the vertex lattice along its axis
     large = (st.large_f1, st.large_f2, st.large_f1, st.large_f2)
-    if any(gap < step * m for gap, step, m in zip(gaps, large, m_vals)):
+    if any(gap < step * m for gap, step, m in zip(gaps, large, ms.faces)):
         failures.append("step_bounds")
     beta = (b * b - b + 2) // 2  # 1 for b in {0, 1}, 2 for b=2
-    for idx, (gap, m) in enumerate(zip(gaps, m_vals), start=1):
+    for idx, (gap, m) in enumerate(zip(gaps, ms.faces), start=1):
         if gap < beta * m:
             failures.append(f"face_gap_{idx}")
 
     n_vertices = len(poly)
-    sum_m = sum(m_vals)
+    sum_m = sum(ms.faces)
     if sum(ms.edge_counts) + sum_m != n_vertices:
         failures.append("boundary_decomposition")
     if sum_bounds != 4 * n + 2 * (b * b - 3 * b) - sum(gaps):

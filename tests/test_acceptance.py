@@ -144,7 +144,7 @@ def test_criterion_6_boundary_decomposition_suite():
     for _ in range(1000):
         poly = random_convex_polygon(rng)
         ms = maximal_slopes(poly)
-        assert sum(ms.edge_counts) + ms.m1 + ms.m2 + ms.m3 + ms.m4 == len(poly)
+        assert sum(ms.edge_counts) + sum(ms.faces) == len(poly)
     print("\n[criterion 6] boundary decomposition on 1000 random polygons: PASS")
 
 

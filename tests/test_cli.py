@@ -450,6 +450,61 @@ def test_classification_miss_exits_two(files, capsys, monkeypatch):
     assert "case C, split profile (2, 2)" in err[0]
 
 
+def test_failed_check_exits_two_with_report(files, capsys, monkeypatch):
+    from latfree import cli
+    from latfree.slopes import CheckReport
+
+    tmp, write = files
+    slope = write("slope.json", {"vertices": [[-1, 3], [2, -1]], "basis": [[1, 0], [0, 1]]})
+    failing = CheckReport.from_failures("width_bound", {"s": 0}, ["width"], {"slope": "stub"})
+    monkeypatch.setattr(cli, "check_width_bound", lambda slope, lattice=None: failing)
+    out = tmp / "report.json"
+    assert run(["slopes", slope, "--origin", "0,0", "--out", str(out)]) == 2
+    text = capsys.readouterr().out
+    assert "check width_bound: FAIL" in text.splitlines()
+    failed = json.loads(text[text.index("\n{") + 1:])
+    assert failed == {"width_bound": failing.to_obj()}
+    written = json.loads(out.read_text())
+    assert written["width_bound"] == failing.to_obj()
+    assert written["projection_bound"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        pytest.param(
+            ["verify", "--lattice", "{}", "--box", "3,1,0,2"], {"delta": 2, "n": 2},
+            "box must be nonempty", id="empty-box",
+        ),
+        pytest.param(
+            ["verify", "--lattice", "{}"], {"delta": 0, "n": 3},
+            "invariant factors must be positive", id="zero-factor",
+        ),
+        pytest.param(["normalize", "{}", "--n", "1"], QUAD, "needs n >= 2", id="normalize-n-1"),
+        pytest.param(["classify", "{}", "--n", "1"], QUAD, "needs n >= 2", id="classify-n-1"),
+        pytest.param(
+            ["slopes", "{}", "--origin", "0,0"], {"vertices": [[0, 0]], "basis": [[2, 0], [0, 1]]},
+            "unimodular", id="basis-not-unimodular",
+        ),
+        pytest.param(
+            ["slopes", "{}", "--origin", "0,0"], {"vertices": [], "basis": [[1, 0], [0, 1]]},
+            "at least one vertex", id="no-vertices",
+        ),
+        pytest.param(
+            ["slopes", "{}", "--origin", "1"], {"vertices": [[0, 0]], "basis": [[1, 0], [0, 1]]},
+            "--origin must be x,y", id="origin-one-number",
+        ),
+    ],
+)
+def test_invalid_input_is_usage_error(files, capsys, command, payload, message):
+    tmp, write = files
+    path = write("input.json", payload)
+    assert run([path if arg == "{}" else arg for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and message in err
+
+
 # Arbitrary JSON with small ints, so that no generated polygon or lattice is
 # expensive, and with the readers' own keys among the dict keys.  Random
 # values almost never pass the readers, so near-valid objects of small int

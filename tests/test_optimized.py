@@ -160,6 +160,24 @@ def test_no_private_names_imported_from_slopes():
     assert not imports, f"private names imported from latfree.slopes: {imports}"
 
 
+def test_every_slope_clause_has_a_firing_case():
+    # test_slopes.py fires each clause a slope check can fail; a clause
+    # added to slopes.py without a case there would go untested
+    from test_slopes import CLAUSE_CASES
+
+    tree = ast.parse((SRC / "latfree" / "slopes.py").read_text())
+    args = [
+        node.args[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "append"
+        and getattr(node.func.value, "id", None) == "failures"
+    ]
+    assert all(isinstance(arg, ast.Constant) for arg in args), "clause names must be literals"
+    assert {arg.value for arg in args} == set(CLAUSE_CASES)
+
+
 def _cli(flags: list[str], args: list[str]) -> tuple[int, str]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latfree import slopes
 from latfree.core import E1, E2, Mat2, Sublattice, Vec
 from latfree.polygon import Polygon
 from latfree.slopes import (
@@ -78,18 +79,18 @@ class TestMaximalSlopes:
     def test_square_all_axis_edges(self):
         ms = maximal_slopes(SQUARE)
         assert ms.edge_counts == (0, 0, 0, 0)
-        assert (ms.m1, ms.m2, ms.m3, ms.m4) == (1, 1, 1, 1)
+        assert ms.faces == (1, 1, 1, 1)
         assert sum(ms.edge_counts) + 4 == len(SQUARE)
 
     def test_diamond(self):
         ms = maximal_slopes(DIAMOND)
         assert ms.edge_counts == (1, 1, 1, 1)
-        assert (ms.m1, ms.m2, ms.m3, ms.m4) == (0, 0, 0, 0)
+        assert ms.faces == (0, 0, 0, 0)
 
     def test_quad(self):
         ms = maximal_slopes(QUAD)
         assert ms.edge_counts == (1, 1, 1, 1)
-        assert (ms.m1, ms.m2, ms.m3, ms.m4) == (0, 0, 0, 0)
+        assert ms.faces == (0, 0, 0, 0)
 
     def test_boundary_identity_random(self):
         from conftest import random_convex_polygon
@@ -98,7 +99,7 @@ class TestMaximalSlopes:
         for _ in range(200):
             poly = random_convex_polygon(rng)
             ms = maximal_slopes(poly)
-            assert sum(ms.edge_counts) + ms.m1 + ms.m2 + ms.m3 + ms.m4 == len(poly)
+            assert sum(ms.edge_counts) + sum(ms.faces) == len(poly)
 
     def test_projection_bound_holds_on_split_maximal_slopes(self):
         # a frame at an integer origin near the polygon, on the basis of
@@ -116,8 +117,7 @@ class TestMaximalSlopes:
                 rng.randint(s.south - 2, s.north + 2),
             )
             ms = maximal_slopes(poly)
-            for k in range(1, 5):
-                slope = ms.slope(k)
+            for slope in ms.slopes:
                 f1, f2 = (slope.f2, slope.f1) if rng.random() < 0.5 else (slope.f1, slope.f2)
                 prof = slope_profile(Frame(origin, f1, f2), slope)
                 if prof is None:
@@ -291,19 +291,37 @@ class TestSmallAngle:
                 assert slope_profile(frame, slope).small_angle
 
 
+def positive_projections(coords, k):
+    """(pi1, pi2, head, tail) summed edge by edge: the positive-part
+    projections of each edge onto the two frame axes, and p1 + p2 - 2
+    summed over the edges up to c_k (the head) and after it (the tail)."""
+    pi1 = pi2 = head = tail = 0
+    for i in range(1, len(coords)):
+        p, q = coords[i - 1], coords[i]
+        p1 = max(q.x1, 0) - max(p.x1, 0)
+        p2 = max(p.x2, 0) - max(q.x2, 0)
+        pi1, pi2 = pi1 + p1, pi2 + p2
+        if i <= k:
+            head += p1 + p2 - 2
+        else:
+            tail += p1 + p2 - 2
+    return pi1, pi2, head, tail
+
+
 class TestSlopeProfile:
     def test_shallow_crossing(self):
         s = validate_slope([Vec(-1, 3), Vec(2, -1)], E1, E2)
         p = slope_profile(ORIGIN_FRAME, s)
         assert (p.k, p.alpha, p.t, p.s) == (1, Fraction(3, 4), 0, 0)
-        assert (p.pi1, p.pi2, p.pihat) == (2, 3, 3)
-        assert p.pihat == p.pihat_head + p.pihat_tail
+        assert p.pihat == 3
+        assert positive_projections(p.coords, p.k) == (2, 3, 3, 0)
 
     def test_doubled_slope(self):
         s = validate_slope([Vec(-2, 4), Vec(2, -2)], E1, E2)
         p = slope_profile(ORIGIN_FRAME, s)
         assert (p.k, p.alpha, p.t, p.s) == (1, Fraction(2, 3), 0, 0)
-        assert (p.pi1, p.pi2, p.pihat) == (2, 4, 4)
+        assert p.pihat == 4
+        assert positive_projections(p.coords, p.k) == (2, 4, 4, 0)
 
     def test_unit_drop_edges(self):
         s = validate_slope([Vec(-1, 2), Vec(0, 1), Vec(3, -1)], E1, E2)
@@ -321,9 +339,14 @@ class TestSlopeProfile:
             frame, slope = inst
             p = slope_profile(frame, slope)
             v, w = p.coords[0], p.coords[-1]
-            assert p.pi1 == abs(max(v.x1, 0) - max(w.x1, 0))
-            assert p.pi2 == abs(max(v.x2, 0) - max(w.x2, 0))
-            assert p.pihat == p.pihat_head + p.pihat_tail
+            pi1, pi2, head, tail = positive_projections(p.coords, p.k)
+            assert pi1 == abs(max(v.x1, 0) - max(w.x1, 0)) == w.x1
+            assert pi2 == abs(max(v.x2, 0) - max(w.x2, 0)) == v.x2
+            assert p.pihat == pi1 + pi2 - 2 * p.n_edges == head + tail
+            details = check_profile_ledger(p).details
+            assert (details["pihat"], details["pihat_head"], details["pihat_tail"]) == (
+                p.pihat, head, tail,
+            )
 
 
 class TestWidthBound:
@@ -410,3 +433,102 @@ class TestProfileLedger:
         rep = check_profile_ledger(slope_profile(ORIGIN_FRAME, s), Sublattice.rectangular(2, 2))
         assert rep.ok
         assert rep.details["pihat"] == 4
+
+
+# Every clause of the slope checks, each fired by a profile tampered with
+# _replace or by a slope built without validate_slope: honest input passes
+# them all, so nothing else shows that a clause can fail.  Each entry maps a
+# clause to (a builder taking monkeypatch, the context keys its
+# counterexample carries).  tests/test_optimized.py requires the keys to be
+# exactly the clauses that slopes.py appends.
+STEEP = validate_slope([Vec(-1, 2), Vec(3, -1)], E1, E2)  # small angle: t = 1, s = 0
+DOUBLED = validate_slope([Vec(-2, 4), Vec(2, -2)], E1, E2)  # in 2Z x 2Z
+LAT22 = Sublattice.rectangular(2, 2)
+SKEW = Sublattice.from_matrix(Mat2.from_columns(Vec(1, -1), Vec(0, 3)))  # (a, m) = (1, 3)
+WIDTH_KEYS = ("slope",)
+PROFILE_KEYS = ("slope", "origin")
+
+
+def _steep(**fields):
+    return slope_profile(ORIGIN_FRAME, STEEP)._replace(**fields)
+
+
+def _doubled(**fields):
+    return slope_profile(ORIGIN_FRAME, DOUBLED)._replace(**fields)
+
+
+def _unchecked(*coords):
+    return Slope(tuple(Vec(*c) for c in coords), E1, E2)
+
+
+def _misread_small_step(monkeypatch):
+    # a lattice whose small f1-step is above 1 holds no unit-width edge, so
+    # only a misreported step lets s_zero fail
+    real = slopes.steps
+    monkeypatch.setattr(slopes, "steps", lambda *args: real(*args)._replace(small_f1=2))
+    return check_width_bound(_unchecked((0, 0), (1, -1)), Sublattice.zsquare())
+
+
+CLAUSE_CASES = {
+    "width": (lambda mp: check_width_bound(_unchecked((0, 0), (0, -1))), WIDTH_KEYS),
+    "height": (lambda mp: check_width_bound(_unchecked((0, 0), (1, 0))), WIDTH_KEYS),
+    "s_zero": (_misread_small_step, WIDTH_KEYS),
+    "width_strict": (
+        lambda mp: check_width_bound(_unchecked((0, 0), (0, -2)), LAT22), WIDTH_KEYS
+    ),
+    # unit drops 1 and 4 pass the plain height bound but not the skew one
+    "height_skew": (
+        lambda mp: check_width_bound(_unchecked((0, 0), (1, -1), (2, -5), (4, -4)), SKEW),
+        WIDTH_KEYS,
+    ),
+    "witness_order": (lambda mp: check_projection_bound(_steep(s=2)), PROFILE_KEYS),
+    "height_slack": (lambda mp: check_projection_bound(_steep(s=3, t=3)), PROFILE_KEYS),
+    "reach": (
+        lambda mp: check_projection_bound(_steep(coords=(Vec(-5, 2), Vec(3, -1)))),
+        PROFILE_KEYS,
+    ),
+    "projection": (lambda mp: check_projection_bound(_steep(t=4)), PROFILE_KEYS),
+    "projection_plain": (
+        lambda mp: check_projection_bound(
+            _steep(coords=(Vec(-1, 2), Vec(0, 1), Vec(1, 0), Vec(3, -1)))
+        ),
+        PROFILE_KEYS,
+    ),
+    "projection_small_angle": (lambda mp: check_projection_bound(_steep(t=4)), PROFILE_KEYS),
+    "projection_small_angle_plain": (
+        lambda mp: check_projection_bound(_steep(coords=(Vec(-1, 2), Vec(3, -9)))),
+        PROFILE_KEYS,
+    ),
+    "projection_sublattice": (
+        lambda mp: check_sublattice_projection_bound(
+            _doubled(coords=(Vec(-2, 1), Vec(1, -2))), LAT22
+        ),
+        PROFILE_KEYS + ("lattice",),
+    ),
+    "s_le_t": (lambda mp: check_profile_ledger(_steep(s=2)), PROFILE_KEYS),
+    # the unit-drop edge is 2 wide, from x1 = -1 to x1 = 1
+    "unit_drop_width": (
+        lambda mp: check_profile_ledger(
+            _steep(s=1, s_edges=(1,), coords=(Vec(-1, 2), Vec(1, -1)))
+        ),
+        PROFILE_KEYS,
+    ),
+    "head_bound": (lambda mp: check_profile_ledger(_steep(delta_flag=3)), PROFILE_KEYS),
+    "tail_bound": (
+        lambda mp: check_profile_ledger(_steep(coords=(Vec(-1, 2), Vec(3, -1), Vec(4, -9)))),
+        PROFILE_KEYS,
+    ),
+    "pihat_positive": (
+        lambda mp: check_profile_ledger(_doubled(coords=(Vec(-2, 1), Vec(1, -2))), LAT22),
+        PROFILE_KEYS,
+    ),
+}
+
+
+@pytest.mark.parametrize("clause", list(CLAUSE_CASES))
+def test_every_clause_can_fire(monkeypatch, clause):
+    build, keys = CLAUSE_CASES[clause]
+    rep = build(monkeypatch)
+    assert not rep.ok
+    assert clause in rep.counterexample["failed"]
+    assert set(keys) <= set(rep.counterexample)

@@ -441,6 +441,31 @@ class TestTypeVertexBound:
         with pytest.raises(ValueError):
             check_type_vertex_bound(QUAD, TypeTag("II", 3), Sublattice.rectangular(3, 3))
 
+    def test_nonagon_over_z2_fails(self):
+        # Z^2 allows 2n + 2 = 8 vertices; the tag is taken as given, so a
+        # convex 9-gon fails the bound although it is in no type II position
+        corner, verts = Vec(0, 0), []
+        for step in [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 1), (-1, 0), (-2, -1), (-1, -1), (1, -2)]:
+            verts.append(corner)
+            corner = corner + Vec(*step)
+        poly = Polygon(verts)
+        assert len(poly) == 9
+        rep = check_type_vertex_bound(poly, TypeTag("II", 3), Sublattice.zsquare())
+        assert not rep.ok
+        assert rep.counterexample["failed"] == ["vertex_bound"]
+        assert rep.details == {"n": 3, "b": 0, "vertices": 9, "bound": 8}
+
+    def test_rejects_n_below_three(self):
+        with pytest.raises(ValueError, match="n >= 3"):
+            check_type_vertex_bound(QUAD, TypeTag("II", 2), Sublattice.zsquare())
+
+    def test_rejects_lattice_of_other_factors(self):
+        # the vertices lie in Z x 2Z, a (1, 2)-lattice, which for odd n is
+        # neither Z^2, a (1, n/2)- nor a (1, n)-lattice
+        poly = Polygon([Vec(0, 0), Vec(2, 0), Vec(0, 2)])
+        with pytest.raises(ValueError, match="vertex lattice must be"):
+            check_type_vertex_bound(poly, TypeTag("II", 3), Sublattice.rectangular(1, 2))
+
     def test_failing_report(self):
         # a (1, 3)-lattice allows 2n - 2 = 4 vertices
         poly = Polygon([Vec(0, 0), Vec(1, 0), Vec(3, 3), Vec(1, 6), Vec(-2, 3)])
