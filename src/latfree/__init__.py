@@ -12,7 +12,6 @@ from .core import (
     Sublattice,
     Vec,
     invariant_factors,
-    primitive_to,
     steps,
 )
 from .polygon import (

@@ -151,28 +151,6 @@ def invariant_factors(m: Mat2) -> tuple[int, int]:
     return delta, abs(d) // delta
 
 
-def _map_to_first_axis(v: Vec) -> Mat2:
-    # unimodular M with M @ v = (1, 0); Bezout coefficient reduced to the
-    # smallest nonnegative residue so the result is canonical
-    if not v.is_primitive():
-        raise LatticeError("vector not primitive")
-    if v.x2 == 0:
-        x, y = (1 if v.x1 > 0 else -1), 0
-    else:
-        _, x, y = xgcd(v.x1, v.x2)
-        x_n = x % abs(v.x2)
-        t = (x_n - x) // v.x2
-        x, y = x_n, y - t * v.x1
-    return Mat2(x, y, -v.x2, v.x1)
-
-
-def primitive_to(f: Vec, g: Vec) -> Mat2:
-    """A matrix M of determinant +1 with M @ f = g, for primitive f and g."""
-    mf = _map_to_first_axis(f)
-    mg = _map_to_first_axis(g)
-    return mg.inverse_unimodular() @ mf
-
-
 class _SublatticeFields(NamedTuple):
     basis: Mat2
     delta: int

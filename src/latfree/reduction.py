@@ -22,7 +22,7 @@ import math
 from bisect import bisect_left
 from typing import NamedTuple, Optional
 
-from .core import E2, AffineMap, InvariantError, Mat2, Sublattice, Vec, primitive_to
+from .core import AffineMap, InvariantError, Mat2, Sublattice, Vec, xgcd
 from .polygon import Polygon, Segment, apply_affine, lattice_points_in
 
 
@@ -194,10 +194,18 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
 
     (px, py), (qx, qy) = _diameter(pts).segment
     g = math.gcd(qx - px, qy - py)
-    r11, r12, r21, r22 = primitive_to(Vec((qx - px) // g, (qy - py) // g), E2)
+    dx, dy = (qx - px) // g, (qy - py) // g
+    # R = [[dy, -dx], [r21, r22]] takes (dx, dy) to e2; its determinant
+    # dx*r21 + dy*r22 = +1 keeps the moved vertices counter-clockwise, and
+    # the Bezout coefficient r21 is reduced mod |dy| so that R is canonical
+    r11, r12 = dy, -dx
+    if dy == 0:
+        r21, r22 = dx, 0
+    else:
+        r21 = xgcd(dx, dy)[1] % abs(dy)
+        r22 = (1 - dx * r21) // dy
     shift_count, c = divmod(r11 * px + r12 * py, n)
     tx = -shift_count * n
-    # primitive_to has determinant +1, so the moved vertices stay counter-clockwise
     moved = [(r11 * x + r12 * y + tx, r21 * x + r22 * y) for x, y in poly.vertices]
     u1 = _chord_cell_index(moved, 0, n)
     k = u1 - _chord_cell_index(moved, n, n)

@@ -31,10 +31,6 @@ from .polygon import BoundingStats, Polygon, bounding_stats
 class SlopeError(ValueError):
     """Raised when a vertex sequence is not a valid slope."""
 
-    def __init__(self, message: str, edge_index: int | None = None):
-        super().__init__(message)
-        self.edge_index = edge_index
-
 
 class Frame(NamedTuple):
     """An origin plus an ordered unimodular basis of Z^2."""
@@ -45,11 +41,16 @@ class Frame(NamedTuple):
 
 
 class Slope(NamedTuple):
-    """A validated slope; construct through :func:`validate_slope`."""
+    """A validated slope; construct through :func:`validate_slope`.
+
+    coords holds the vertices in the basis (f1, f2), so the checks and
+    the frame coordinates read them without mapping a vertex again.
+    """
 
     vertices: tuple[Vec, ...]
     f1: Vec
     f2: Vec
+    coords: tuple[Vec, ...]
 
     @property
     def n_edges(self) -> int:
@@ -82,22 +83,18 @@ def validate_slope(vertices: list[Vec] | tuple[Vec, ...], f1: Vec, f2: Vec) -> S
     if not verts:
         raise SlopeError("slope needs at least one vertex")
     a11, a12, a21, a22 = frame.inverse_unimodular()
-    coords = [(a11 * x + a12 * y, a21 * x + a22 * y) for x, y in verts]
+    coords = tuple([_new(Vec, (a11 * x + a12 * y, a21 * x + a22 * y)) for x, y in verts])
     edges = [(qx - px, qy - py) for (px, py), (qx, qy) in zip(coords, coords[1:])]
     for i, a in enumerate(edges, start=1):
         if not (a[0] > 0 and a[1] < 0):
-            raise SlopeError(
-                f"edge {i} must point down-right in the basis, got {a}",
-                edge_index=i,
-            )
+            raise SlopeError(f"edge {i} must point down-right in the basis, got {a}")
     for i in range(len(edges) - 1):
         (a1, a2), (b1, b2) = edges[i], edges[i + 1]
         if a1 * b2 - b1 * a2 <= 0:
             raise SlopeError(
-                f"edges {i + 1} and {i + 2} violate the increasing-ratio condition",
-                edge_index=i + 2,
+                f"edges {i + 1} and {i + 2} violate the increasing-ratio condition"
             )
-    return Slope(verts, f1, f2)
+    return Slope(verts, f1, f2, coords)
 
 
 # --- maximal slopes of a polygon -------------------------------------------
@@ -153,15 +150,16 @@ def maximal_slopes(poly: Polygon) -> MaximalSlopes:
 
 
 def _frame_coords(frame: Frame, slope: Slope) -> list[Vec]:
+    # the slope's own coordinates less the origin's, swapped when the
+    # frame's basis is the slope's basis swapped
     origin, f1, f2 = frame
-    if (f1, f2) != (slope.f1, slope.f2) and (f2, f1) != (slope.f1, slope.f2):
+    swap = (f2, f1) == (slope.f1, slope.f2)
+    if not swap and (f1, f2) != (slope.f1, slope.f2):
         raise ValueError("frame basis must match the slope basis up to a swap")
-    a11, a12, a21, a22 = Mat2.from_columns(f1, f2).inverse_unimodular()
-    ox, oy = origin
-    return [
-        _new(Vec, (a11 * (x - ox) + a12 * (y - oy), a21 * (x - ox) + a22 * (y - oy)))
-        for x, y in slope.vertices
-    ]
+    ox, oy = Mat2.from_columns(slope.f1, slope.f2).inverse_unimodular().mul_vec(origin)
+    if swap:
+        return [_new(Vec, (y - oy, x - ox)) for x, y in slope.coords]
+    return [_new(Vec, (x - ox, y - oy)) for x, y in slope.coords]
 
 
 class SlopeProfile(NamedTuple):
@@ -303,8 +301,7 @@ def check_width_bound(slope: Slope, lattice: Optional[Sublattice] = None) -> Che
     """
     if slope.n_edges < 1:
         raise ValueError("width bound needs at least one edge")
-    inv = Mat2.from_columns(slope.f1, slope.f2).inverse_unimodular()
-    coords = [inv.mul_vec(v) for v in slope.vertices]
+    coords = slope.coords
     edges = [coords[i] - coords[i - 1] for i in range(1, len(coords))]
     n_edges = len(edges)
     b = coords[-1] - coords[0]
@@ -328,7 +325,7 @@ def check_width_bound(slope: Slope, lattice: Optional[Sublattice] = None) -> Che
             # a Bezout pair of the basis's f1-coordinates gives the lattice
             # vector f1 + y0*f2, and f1 - a*f2 is in the lattice iff
             # a = -y0 mod m
-            c = inv @ lattice.basis
+            c = Mat2.from_columns(slope.f1, slope.f2).inverse_unimodular() @ lattice.basis
             _, x, y = xgcd(c.a11, c.a12)
             y0, m = c.a21 * x + c.a22 * y, st.large_f2
             a = (-y0 - 1) % m + 1

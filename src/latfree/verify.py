@@ -523,9 +523,10 @@ def type_ii_bound_pipeline(
         if b == 0:
             check, ok = "projection_bound", check_projection_bound(prof).ok
         else:
-            # the clause of check_sublattice_projection_bound; a lattice
-            # with b >= 1 is proper
-            check, ok = "sublattice_projection_bound", 2 * prof.n_edges <= v.x2 + w.x1 - 1
+            # the clause of check_sublattice_projection_bound, 2N <= v2 + w1 - 1,
+            # is the slope bound itself, as adj = -1; a lattice with b >= 1
+            # is proper
+            check, ok = "sublattice_projection_bound", 2 * prof.n_edges <= bound
         if not ok:
             failures.append(f"slope_check_{k}")
         slope_rows.append({"k": k, "edges": prof.n_edges, "bound": bound, "check": check})

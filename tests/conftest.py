@@ -11,7 +11,7 @@ import pytest
 
 import latfree
 from latfree import cli, polygon, reduction, slopes, verify
-from latfree.core import E1, E2, ORIGIN, AffineMap, Mat2, Sublattice, Vec, primitive_to
+from latfree.core import E1, E2, ORIGIN, AffineMap, LatticeError, Mat2, Sublattice, Vec, xgcd
 from latfree.polygon import (
     DegenerateHullError,
     GeometryError,
@@ -307,6 +307,31 @@ def _chord_cell_oracle(image: Polygon, x1: int, n: int) -> int:
     if not (u * n < lo and hi < (u + 1) * n):
         raise AssertionError("chord touches a forbidden lattice point")
     return u
+
+
+def _map_to_first_axis(v: Vec) -> Mat2:
+    # unimodular M with M @ v = (1, 0); Bezout coefficient reduced to the
+    # smallest nonnegative residue so the result is canonical
+    if not v.is_primitive():
+        raise LatticeError("vector not primitive")
+    if v.x2 == 0:
+        x, y = (1 if v.x1 > 0 else -1), 0
+    else:
+        _, x, y = xgcd(v.x1, v.x2)
+        x_n = x % abs(v.x2)
+        t = (x_n - x) // v.x2
+        x, y = x_n, y - t * v.x1
+    return Mat2(x, y, -v.x2, v.x1)
+
+
+def primitive_to(f: Vec, g: Vec) -> Mat2:
+    """A matrix M of determinant +1 with M @ f = g, for primitive f and g.
+
+    The general rotation, kept as the reference for the one slab
+    normalization builds inline for g = e2."""
+    mf = _map_to_first_axis(f)
+    mg = _map_to_first_axis(g)
+    return mg.inverse_unimodular() @ mf
 
 
 def normalize_oracle(poly: Polygon, n: int) -> NormalizationResult:

@@ -15,10 +15,11 @@ from latfree.core import (
     Sublattice,
     Vec,
     invariant_factors,
-    primitive_to,
     steps,
     xgcd,
 )
+
+from conftest import primitive_to
 
 nonsingular = st.builds(
     Mat2,

@@ -160,13 +160,9 @@ def test_no_private_names_imported_from_slopes():
     assert not imports, f"private names imported from latfree.slopes: {imports}"
 
 
-def test_every_slope_clause_has_a_firing_case():
-    # test_slopes.py fires each clause a slope check can fail; a clause
-    # added to slopes.py without a case there would go untested
-    from test_slopes import CLAUSE_CASES
-
-    tree = ast.parse((SRC / "latfree" / "slopes.py").read_text())
-    args = [
+def _appended_clauses(module: str) -> list[ast.expr]:
+    tree = ast.parse((SRC / "latfree" / module).read_text())
+    return [
         node.args[0]
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
@@ -174,8 +170,35 @@ def test_every_slope_clause_has_a_firing_case():
         and node.func.attr == "append"
         and getattr(node.func.value, "id", None) == "failures"
     ]
+
+
+def test_every_slope_clause_has_a_firing_case():
+    # test_slopes.py fires each clause a slope check can fail; a clause
+    # added to slopes.py without a case there would go untested
+    from test_slopes import CLAUSE_CASES
+
+    args = _appended_clauses("slopes.py")
     assert all(isinstance(arg, ast.Constant) for arg in args), "clause names must be literals"
     assert {arg.value for arg in args} == set(CLAUSE_CASES)
+
+
+def test_every_pipeline_clause_has_a_firing_case():
+    # test_verify.py fires each clause of verify.py; an f-string clause such
+    # as f"slope_bound_{k}" is matched by its literal prefix
+    from test_verify import PIPELINE_CASES
+
+    def matches(name, clause):
+        literal, prefix = clause
+        return name.startswith(literal) if prefix else name == literal
+
+    clauses = []
+    for arg in _appended_clauses("verify.py"):
+        prefix = isinstance(arg, ast.JoinedStr)
+        literal = arg.values[0] if prefix else arg
+        assert isinstance(literal, ast.Constant), "clause names must be literals or literal prefixes"
+        clauses.append((literal.value, prefix))
+    assert [c for c in clauses if not any(matches(name, c) for name in PIPELINE_CASES)] == []
+    assert [name for name in PIPELINE_CASES if not any(matches(name, c) for c in clauses)] == []
 
 
 def _cli(flags: list[str], args: list[str]) -> tuple[int, str]:

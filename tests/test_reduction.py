@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latfree import reduction
+from latfree import core, reduction
 from latfree.core import AffineMap, InvariantError, Sublattice, Vec
 from latfree.polygon import (
     DegenerateHullError,
@@ -403,6 +403,26 @@ def test_classify_applies_the_map_at_most_twice(monkeypatch, oracle_cases):
         assert len(calls) == (1 if identity else 2)
         counts[identity] += 1
     assert counts[True] >= 20 and counts[False] >= 20
+
+
+def test_slab_rotation_takes_one_bezout_step(monkeypatch, oracle_cases):
+    # the rotation onto e2 is read off one Bezout pair of the diameter's
+    # direction, and off none when that direction is horizontal
+    calls = []
+    xgcd = core.xgcd
+
+    def counting_xgcd(a, b):
+        calls.append((a, b))
+        return xgcd(a, b)
+
+    monkeypatch.setattr(core, "xgcd", counting_xgcd)
+    monkeypatch.setattr(reduction, "xgcd", counting_xgcd, raising=False)
+    counts = collections.Counter()
+    for poly, n in oracle_cases:
+        calls.clear()
+        slab_normalize(poly, n)
+        counts[len(calls)] += 1
+    assert set(counts) == {0, 1}
 
 
 TAGS = ("I", "II", "III", "IV", "V", "VI")

@@ -47,14 +47,12 @@ class TestValidateSlope:
         assert s.n_edges == 3
 
     def test_rejects_wrong_sign(self):
-        with pytest.raises(SlopeError) as err:
+        with pytest.raises(SlopeError, match="^edge 1 must point down-right"):
             validate_slope([Vec(0, 0), Vec(-1, -1)], E1, E2)
-        assert err.value.edge_index == 1
 
     def test_rejects_decreasing_ratio(self):
-        with pytest.raises(SlopeError) as err:
+        with pytest.raises(SlopeError, match="^edges 1 and 2 violate"):
             validate_slope([Vec(0, 0), Vec(1, -1), Vec(2, -3)], E1, E2)
-        assert err.value.edge_index == 2
 
     def test_rejects_parallel_edges(self):
         with pytest.raises(SlopeError):
@@ -73,6 +71,66 @@ class TestValidateSlope:
     def test_json_round_trip(self):
         s = validate_slope([Vec(-1, 3), Vec(2, -1)], E1, E2)
         assert Slope.from_obj(s.to_obj()) == s
+
+
+def count_inversions(monkeypatch) -> list:
+    calls: list = []
+    inverse = Mat2.inverse_unimodular
+
+    def counting_inverse(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Mat2, "inverse_unimodular", counting_inverse)
+    return calls
+
+
+class TestBasisCoords:
+    """A slope keeps its vertices in its own basis, so the checks and the
+    frame coordinates read them without inverting the basis again."""
+
+    def test_coords_are_the_vertices_in_the_basis(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            coords = random_slope_basis_coords(rng)
+            f = random_unimodular(rng)
+            s = build_slope(coords, Vec(f.a11, f.a21), Vec(f.a12, f.a22))
+            assert s.coords == tuple(Vec(*c) for c in coords)
+
+    def test_width_bound_inverts_nothing_without_a_lattice(self, monkeypatch):
+        rng = random.Random(31)
+        built = []
+        for _ in range(50):
+            f = random_unimodular(rng)
+            coords = random_slope_basis_coords(rng)
+            built.append(build_slope(coords, Vec(f.a11, f.a21), Vec(f.a12, f.a22)))
+        calls = count_inversions(monkeypatch)
+        for s in built:
+            check_width_bound(s)
+        assert calls == []
+
+    def test_each_profile_inverts_once(self, monkeypatch):
+        # one inversion maps the origin; the vertices' frame coordinates are
+        # the slope's own, shifted and, in a swapped frame, swapped
+        rng = random.Random(37)
+        cases = []
+        while len(cases) < 200:
+            f = random_unimodular(rng)
+            inst = random_splitting_instance(rng, [(Vec(f.a11, f.a21), Vec(f.a12, f.a22))])
+            if inst is None:
+                continue
+            frame, slope = inst
+            inv = Mat2.from_columns(frame.f1, frame.f2).inverse_unimodular()
+            cases.append((frame, slope, [inv.mul_vec(v - frame.origin) for v in slope.vertices]))
+        calls = count_inversions(monkeypatch)
+        swapped = 0
+        for frame, slope, mapped in cases:
+            calls.clear()
+            prof = slope_profile(frame, slope)
+            assert len(calls) == 1
+            assert list(prof.coords) in (mapped, mapped[::-1])
+            swapped += frame.f1 != slope.f1
+        assert 0 < swapped < len(cases)
 
 
 class TestMaximalSlopes:
@@ -458,7 +516,9 @@ def _doubled(**fields):
 
 
 def _unchecked(*coords):
-    return Slope(tuple(Vec(*c) for c in coords), E1, E2)
+    # in the basis (e1, e2) the vertices are their own coordinates
+    verts = tuple(Vec(*c) for c in coords)
+    return Slope(verts, E1, E2, verts)
 
 
 def _misread_small_step(monkeypatch):

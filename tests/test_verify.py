@@ -639,6 +639,76 @@ class TestTypeIIPipeline:
         assert digest.hexdigest() == "6924b77cf0e9b236298886aea692c67b084a01a9b8709013785aa1f7c2105855"
 
 
+# Every clause the type II pipeline appends, each fired by one misread fact:
+# the pipeline passes honest input, so nothing else shows that a clause can
+# fail.  A builder wraps the function the pipeline reads so that its result
+# passes through a tamper.  tests/test_optimized.py requires every clause
+# that verify.py appends to have a case here, an f-string by its literal
+# prefix.  slope_check_1 fires from the plain projection check (b = 0),
+# slope_check_2 from the sublattice clause (b = 1).
+Z2 = Sublattice.zsquare()
+B1_CASE, B2_CASE = TYPE_II_CASES[1], TYPE_II_CASES[2]
+# type II for n = 4 with a bottom face from (1, -2) to (2, -2)
+FACED = Polygon([Vec(-1, 3), Vec(1, -2), Vec(2, -2), Vec(5, 2), Vec(2, 5)])
+
+
+def _tampered(monkeypatch, name, tamper, poly, n, lattice):
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: tamper(real(*args)))
+    return type_ii_bound_pipeline(poly, n, lattice)
+
+
+def _extra_edge(prof):
+    # one more edge, with the same endpoints
+    return prof._replace(coords=prof.coords[:1] + prof.coords)
+
+
+def _shifted_end(prof):
+    return prof._replace(coords=prof.coords[:-1] + (prof.coords[-1] + Vec(1, 0),))
+
+
+PIPELINE_CASES = {
+    "slope_bound_1": lambda mp: _tampered(mp, "slope_profile", _extra_edge, QUAD, 3, Z2),
+    "slope_check_1": lambda mp: _tampered(
+        mp, "check_projection_bound", lambda rep: rep._replace(ok=False), QUAD, 3, Z2
+    ),
+    "slope_check_2": lambda mp: _tampered(mp, "slope_profile", _extra_edge, *B1_CASE),
+    "large_steps": lambda mp: _tampered(
+        mp, "steps", lambda st: st._replace(large_f1=1), *B2_CASE
+    ),
+    # the bottom face is 1 wide, less than a large step of 2
+    "step_bounds": lambda mp: _tampered(
+        mp, "steps", lambda st: st._replace(large_f1=2), FACED, 4, Z2
+    ),
+    # the bottom face read as 0 wide
+    "face_gap_1": lambda mp: _tampered(
+        mp, "maximal_slopes",
+        lambda ms: ms._replace(stats=ms.stats._replace(south_plus=ms.stats.south_minus)),
+        FACED, 4, Z2,
+    ),
+    # the bottom face read as degenerate
+    "boundary_decomposition": lambda mp: _tampered(
+        mp, "maximal_slopes", lambda ms: ms._replace(faces=(0, 0, 0, 0)), FACED, 4, Z2
+    ),
+    # a degenerate right face read as 1 wide
+    "bound_sum_identity": lambda mp: _tampered(
+        mp, "maximal_slopes",
+        lambda ms: ms._replace(stats=ms.stats._replace(east_plus=ms.stats.east_plus + 1)),
+        QUAD, 3, Z2,
+    ),
+    "summed_chain": lambda mp: _tampered(mp, "slope_profile", _shifted_end, QUAD, 3, Z2),
+    "vertex_bound": lambda mp: _tampered(mp, "_b_parameter", lambda b: 3, QUAD, 3, Z2),
+}
+
+
+@pytest.mark.parametrize("clause", list(PIPELINE_CASES))
+def test_every_pipeline_clause_can_fire(monkeypatch, clause):
+    rep = PIPELINE_CASES[clause](monkeypatch)
+    assert not rep.ok
+    assert clause in rep.counterexample["failed"]
+    assert {"polygon", "lattice"} <= set(rep.counterexample)
+
+
 def test_count_calls_rejects_an_unbound_name(monkeypatch):
     # a count on a name that no latfree module binds would stay empty and pass
     with pytest.raises(AttributeError, match="ray_splits"):
