@@ -73,11 +73,13 @@ def _open_out(path: str, mode: str = "w") -> Iterator[TextIO]:
 
 
 def _probe_out(path: Optional[str]) -> None:
-    """Fail on an unwritable ``--out`` before a search rather than after it.
+    """Fail on an unwritable ``--out`` or ``--svg`` before any output.
 
-    Opening for append leaves an existing file as it is, and a file the
-    probe creates is removed again, so a run that fails later leaves the
-    path as it found it; the report is written when the search is done.
+    :func:`run` probes each output path once, before the subcommand reads
+    its input or prints a line.  Opening for append leaves an existing file
+    as it is, and a file the probe creates is removed again, so a run that
+    fails later leaves the path as it found it; the subcommand writes the
+    file when it is done.
     """
     if path:
         created = not os.path.exists(path)
@@ -225,8 +227,6 @@ def _cmd_slopes(args) -> int:
         raise CliError("--origin must be x,y") from exc
     frame = Frame(Vec(x, y), slope.f1, slope.f2)
     lattice = _load_lattice(args.lattice) if args.lattice else None
-    # the sublattice sharpenings apply to a proper sublattice only
-    proper = lattice if lattice is not None and lattice.is_proper() else None
 
     # a one-point slope is valid input with no width to bound
     reports = [check_width_bound(slope, lattice=lattice)] if slope.n_edges >= 1 else []
@@ -239,9 +239,10 @@ def _cmd_slopes(args) -> int:
             f"pi1={prof.coords[-1].x1} pi2={prof.coords[0].x2} pihat={prof.pihat}"
         )
         reports.append(check_projection_bound(prof))
-        reports.append(check_profile_ledger(prof, proper))
-        if proper is not None:
-            reports.append(check_sublattice_projection_bound(prof, proper))
+        reports.append(check_profile_ledger(prof))
+        # the sublattice sharpening applies to a proper sublattice only
+        if lattice is not None and lattice.is_proper():
+            reports.append(check_sublattice_projection_bound(prof, lattice))
     return _finish_checks(reports, args.out, {r.name: r.to_obj() for r in reports})
 
 
@@ -269,7 +270,6 @@ class _VertexText(dict):
 def _cmd_enumerate(args) -> int:
     lattice = _load_lattice(args.lattice)
     box = SearchBox.parse(args.box)
-    _probe_out(args.out)
     # the polygons are kept only for the --out report; stdout is a stream
     found: Optional[list] = [] if args.out else None
     count = 0
@@ -299,7 +299,6 @@ def _cmd_extremal(args) -> int:
 def _cmd_verify(args) -> int:
     lattice = _load_lattice(args.lattice)
     box = SearchBox.parse(args.box) if args.box else None
-    _probe_out(args.out)
     report = verify_vertex_threshold(lattice, box)
     print(f"lattice:         delta={lattice.delta} n={lattice.n}")
     print(f"box:             {list(report.box)}")
@@ -393,6 +392,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     argv = _merge_negative_values(list(argv))
     try:
         args = parser.parse_args(argv)
+        _probe_out(args.out)
+        _probe_out(getattr(args, "svg", None))
         return args.func(args)
     except (CliError, ValueError) as exc:  # the input errors are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .core import E1, E2, InvariantError, Mat2, Sublattice, Vec, _new, int_pairs, steps, xgcd
+from .core import E1, E2, InvariantError, Mat2, Sublattice, Vec, _new, int_pairs, xgcd
 from .polygon import BoundingStats, Polygon, bounding_stats
 
 
@@ -283,12 +283,6 @@ def _require_in_lattice(slope: Slope, lattice: Sublattice) -> None:
         raise ValueError("slope vertices must belong to the given lattice")
 
 
-def _require_in_proper(slope: Slope, lattice: Sublattice) -> None:
-    if not lattice.is_proper():
-        raise ValueError("lattice must be a proper sublattice of Z^2")
-    _require_in_lattice(slope, lattice)
-
-
 def check_width_bound(slope: Slope, lattice: Optional[Sublattice] = None) -> CheckReport:
     """Edge count of a slope against the coordinates of its endpoint difference.
 
@@ -314,20 +308,21 @@ def check_width_bound(slope: Slope, lattice: Optional[Sublattice] = None) -> Che
         failures.append("height")
     if lattice is not None:
         _require_in_lattice(slope, lattice)
-        st = steps(lattice, slope.f1, slope.f2)
-        details["small_f1_step"] = st.small_f1
-        if st.small_f1 > 1:
+        # the lattice's basis in (f1, f2): the small f1-step is the gcd of
+        # its f1-coordinates, and their Bezout pair gives the lattice vector
+        # small*f1 + y0*f2
+        c = Mat2.from_columns(slope.f1, slope.f2).inverse_unimodular() @ lattice.basis
+        small, x, y = xgcd(c.a11, c.a12)
+        details["small_f1_step"] = small
+        if small > 1:
             if s != 0:
                 failures.append("s_zero")
             if not 2 * n_edges <= abs(b.x1):
                 failures.append("width_strict")
         else:
-            # a Bezout pair of the basis's f1-coordinates gives the lattice
-            # vector f1 + y0*f2, and f1 - a*f2 is in the lattice iff
-            # a = -y0 mod m
-            c = Mat2.from_columns(slope.f1, slope.f2).inverse_unimodular() @ lattice.basis
-            _, x, y = xgcd(c.a11, c.a12)
-            y0, m = c.a21 * x + c.a22 * y, st.large_f2
+            # the large f2-step m is det L / small = det L, and f1 - a*f2 is
+            # in the lattice iff a = -y0 mod m
+            y0, m = c.a21 * x + c.a22 * y, lattice.det()
             a = (-y0 - 1) % m + 1
             details["skew"] = [a, m]
             if not 2 * abs(b.x2) >= (2 * a + (s - 1) * m) * s:
@@ -388,7 +383,9 @@ def check_projection_bound(prof: SlopeProfile) -> CheckReport:
 def check_sublattice_projection_bound(prof: SlopeProfile, lattice: Sublattice) -> CheckReport:
     """For slopes with vertices in a proper sublattice: 2N <= v2 + w1 - 1,
     which is pihat >= 1."""
-    _require_in_proper(prof.slope, lattice)
+    if not lattice.is_proper():
+        raise ValueError("lattice must be a proper sublattice of Z^2")
+    _require_in_lattice(prof.slope, lattice)
     v, w = prof.coords[0], prof.coords[-1]
     details = {"n_edges": prof.n_edges, "v": list(v), "w": list(w)}
     failures = []
@@ -400,19 +397,15 @@ def check_sublattice_projection_bound(prof: SlopeProfile, lattice: Sublattice) -
     )
 
 
-def check_profile_ledger(
-    prof: SlopeProfile, lattice: Optional[Sublattice] = None
-) -> CheckReport:
+def check_profile_ledger(prof: SlopeProfile) -> CheckReport:
     """The bookkeeping inequalities behind the projection bounds.
 
     s <= t with the partial-sum refinement on the unit-drop edges; a lower
-    bound on the head part of pihat; a lower bound on the tail part under a
-    small angle; and pihat >= 1 when the vertices lie in a proper
-    sublattice.  The head sums the edges up to c_k and telescopes to
-    x1(c_k) + v2 - 2k; the tail is pihat less the head.
+    bound on the head part of pihat; and a lower bound on the tail part
+    under a small angle.  The head sums the edges up to c_k and telescopes
+    to x1(c_k) + v2 - 2k; the tail is pihat less the head.  pihat >= 1 on
+    a proper sublattice is :func:`check_sublattice_projection_bound`.
     """
-    if lattice is not None:
-        _require_in_proper(prof.slope, lattice)
     coords = prof.coords
     k, t, s = prof.k, prof.t, prof.s
     # c_k lies in the open fourth quadrant: the walk crosses x1 = 0 above
@@ -443,8 +436,6 @@ def check_profile_ledger(
     if prof.small_angle:
         if not 2 * pihat_tail >= coords[k].x2 - coords[-1].x2 - 1:
             failures.append("tail_bound")
-    if lattice is not None and not pihat >= 1:
-        failures.append("pihat_positive")
     return CheckReport.from_failures(
         "profile_ledger", details, failures, _context(prof) if failures else None
     )

@@ -520,14 +520,10 @@ def type_ii_bound_pipeline(
         sum_bounds += bound
         if 2 * prof.n_edges > bound:
             failures.append(f"slope_bound_{k}")
-        if b == 0:
-            check, ok = "projection_bound", check_projection_bound(prof).ok
-        else:
-            # the clause of check_sublattice_projection_bound, 2N <= v2 + w1 - 1,
-            # is the slope bound itself, as adj = -1; a lattice with b >= 1
-            # is proper
-            check, ok = "sublattice_projection_bound", 2 * prof.n_edges <= bound
-        if not ok:
+        # for b >= 1 (a proper lattice) the slope bound is the clause of
+        # check_sublattice_projection_bound, 2N <= v2 + w1 - 1, as adj = -1
+        check = "sublattice_projection_bound" if b else "projection_bound"
+        if b == 0 and not check_projection_bound(prof).ok:
             failures.append(f"slope_check_{k}")
         slope_rows.append({"k": k, "edges": prof.n_edges, "bound": bound, "check": check})
     details["slopes"] = slope_rows

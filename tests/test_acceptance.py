@@ -183,7 +183,7 @@ def test_criterion_7_slope_inequality_suite():
             reports.append(check_width_bound(slope, lattice=lattice))
             reports.append(check_projection_bound(prof))
             reports.append(check_sublattice_projection_bound(prof, lattice))
-            reports.append(check_profile_ledger(prof, lattice))
+            reports.append(check_profile_ledger(prof))
         else:
             m_param = rng.randint(1, 4)
             a_param = rng.randint(1, m_param)
@@ -205,11 +205,9 @@ def test_criterion_7_slope_inequality_suite():
             assert width.details["skew"] == [a_param, m_param]
             reports.append(width)
             reports.append(check_projection_bound(prof))
+            reports.append(check_profile_ledger(prof))
             if lattice.is_proper():
                 reports.append(check_sublattice_projection_bound(prof, lattice))
-                reports.append(check_profile_ledger(prof, lattice))
-            else:
-                reports.append(check_profile_ledger(prof))
         instances += 1
         for rep in reports:
             if not rep.ok:

@@ -313,15 +313,29 @@ def test_unwritable_output_is_usage_error(files, capsys, command):
 @pytest.mark.parametrize(
     "command",
     [
-        pytest.param(["verify", "--box", "0,2,0,2"], id="verify"),
-        pytest.param(["enumerate", "--box", "0,2,0,2"], id="enumerate"),
+        pytest.param(["verify", "--lattice", "lat.json", "--box", "0,2,0,2", "--out"], id="verify"),
+        pytest.param(["enumerate", "--lattice", "lat.json", "--box", "0,2,0,2", "--out"], id="enumerate"),
+        pytest.param(["analyze", "quad.json", "--out"], id="analyze"),
+        pytest.param(["analyze", "quad.json", "--svg"], id="analyze-svg"),
+        pytest.param(["normalize", "quad.json", "--n", "3", "--out"], id="normalize"),
+        pytest.param(["classify", "quad.json", "--n", "3", "--out"], id="classify"),
+        pytest.param(
+            ["check-bounds", "quad.json", "--lattice", "z2.json", "--n", "3", "--out"], id="check-bounds"
+        ),
+        pytest.param(["slopes", "slope.json", "--origin", "0,0", "--out"], id="slopes"),
+        pytest.param(["extremal", "--delta", "3", "--n", "3", "--out"], id="extremal"),
     ],
 )
 def test_unwritable_out_fails_before_search(files, capsys, command):
+    # every subcommand probes its output path before it prints anything
     tmp, write = files
-    lattice = write("lat.json", {"delta": 2, "n": 2})
+    write("lat.json", {"delta": 2, "n": 2})
+    write("z2.json", {"delta": 1, "n": 1})
+    write("quad.json", {"vertices": [[1, -1], [4, 1], [2, 4], [-1, 2]]})
+    write("slope.json", {"vertices": [[-1, 3], [2, -1]], "basis": [[1, 0], [0, 1]]})
     target = tmp / "missing-dir" / "out.json"
-    assert run(command + ["--lattice", lattice, "--out", str(target)]) == 1
+    argv = [str(tmp / arg) if arg.endswith(".json") else arg for arg in command]
+    assert run(argv + [str(target)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [captured.err.strip()]

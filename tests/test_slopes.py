@@ -23,6 +23,7 @@ from latfree.slopes import (
 
 from conftest import (
     build_slope,
+    count_calls,
     random_slope_basis_coords,
     random_splitting_instance,
     random_unimodular,
@@ -108,6 +109,21 @@ class TestBasisCoords:
         for s in built:
             check_width_bound(s)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "lattice",
+        [Sublattice.zsquare(), Sublattice.from_matrix(Mat2.from_columns(Vec(1, -1), Vec(0, 3)))],
+        ids=["z2", "skew"],
+    )
+    def test_width_bound_reads_a_lattice_with_one_inversion(self, monkeypatch, lattice):
+        # one change of basis gives the small f1-step, the Bezout pair and
+        # the skew, with no separate step computation
+        s = validate_slope([Vec(0, 0), Vec(1, -4), Vec(2, -5)], E1, E2)
+        calls = count_inversions(monkeypatch)
+        step_calls = count_calls(monkeypatch, "steps")
+        assert check_width_bound(s, lattice=lattice).ok
+        assert len(calls) == 1
+        assert step_calls == []
 
     def test_each_profile_inverts_once(self, monkeypatch):
         # one inversion maps the origin; the vertices' frame coordinates are
@@ -487,10 +503,13 @@ class TestProfileLedger:
         assert check_profile_ledger(slope_profile(ORIGIN_FRAME, s)).ok
 
     def test_doubled(self):
+        # pihat >= 1 on a proper sublattice is the sublattice check's clause
         s = validate_slope([Vec(-2, 4), Vec(2, -2)], E1, E2)
-        rep = check_profile_ledger(slope_profile(ORIGIN_FRAME, s), Sublattice.rectangular(2, 2))
+        prof = slope_profile(ORIGIN_FRAME, s)
+        rep = check_profile_ledger(prof)
         assert rep.ok
         assert rep.details["pihat"] == 4
+        assert check_sublattice_projection_bound(prof, Sublattice.rectangular(2, 2)).ok
 
 
 # Every clause of the slope checks, each fired by a profile tampered with
@@ -524,8 +543,8 @@ def _unchecked(*coords):
 def _misread_small_step(monkeypatch):
     # a lattice whose small f1-step is above 1 holds no unit-width edge, so
     # only a misreported step lets s_zero fail
-    real = slopes.steps
-    monkeypatch.setattr(slopes, "steps", lambda *args: real(*args)._replace(small_f1=2))
+    real = slopes.xgcd
+    monkeypatch.setattr(slopes, "xgcd", lambda *args: (2,) + real(*args)[1:])
     return check_width_bound(_unchecked((0, 0), (1, -1)), Sublattice.zsquare())
 
 
@@ -576,10 +595,6 @@ CLAUSE_CASES = {
     "head_bound": (lambda mp: check_profile_ledger(_steep(delta_flag=3)), PROFILE_KEYS),
     "tail_bound": (
         lambda mp: check_profile_ledger(_steep(coords=(Vec(-1, 2), Vec(3, -1), Vec(4, -9)))),
-        PROFILE_KEYS,
-    ),
-    "pihat_positive": (
-        lambda mp: check_profile_ledger(_doubled(coords=(Vec(-2, 1), Vec(1, -2))), LAT22),
         PROFILE_KEYS,
     ),
 }

@@ -644,8 +644,9 @@ class TestTypeIIPipeline:
 # fail.  A builder wraps the function the pipeline reads so that its result
 # passes through a tamper.  tests/test_optimized.py requires every clause
 # that verify.py appends to have a case here, an f-string by its literal
-# prefix.  slope_check_1 fires from the plain projection check (b = 0),
-# slope_check_2 from the sublattice clause (b = 1).
+# prefix.  slope_check_k is appended only for b = 0, where the projection
+# check adds its witness clauses: slope_check_1 fires when every check
+# fails, slope_check_2 when only the second slope's does.
 Z2 = Sublattice.zsquare()
 B1_CASE, B2_CASE = TYPE_II_CASES[1], TYPE_II_CASES[2]
 # type II for n = 4 with a bottom face from (1, -2) to (2, -2)
@@ -663,6 +664,12 @@ def _extra_edge(prof):
     return prof._replace(coords=prof.coords[:1] + prof.coords)
 
 
+def _second_fails():
+    # fail the second report passed through, and pass the others as they are
+    calls = itertools.count(1)
+    return lambda rep: rep._replace(ok=False) if next(calls) == 2 else rep
+
+
 def _shifted_end(prof):
     return prof._replace(coords=prof.coords[:-1] + (prof.coords[-1] + Vec(1, 0),))
 
@@ -672,7 +679,9 @@ PIPELINE_CASES = {
     "slope_check_1": lambda mp: _tampered(
         mp, "check_projection_bound", lambda rep: rep._replace(ok=False), QUAD, 3, Z2
     ),
-    "slope_check_2": lambda mp: _tampered(mp, "slope_profile", _extra_edge, *B1_CASE),
+    "slope_check_2": lambda mp: _tampered(
+        mp, "check_projection_bound", _second_fails(), QUAD, 3, Z2
+    ),
     "large_steps": lambda mp: _tampered(
         mp, "steps", lambda st: st._replace(large_f1=1), *B2_CASE
     ),
@@ -707,6 +716,17 @@ def test_every_pipeline_clause_can_fire(monkeypatch, clause):
     assert not rep.ok
     assert clause in rep.counterexample["failed"]
     assert {"polygon", "lattice"} <= set(rep.counterexample)
+
+
+def test_sublattice_slope_bound_fails_alone(monkeypatch):
+    # for b >= 1 the slope bound is the sublattice clause, so an extra edge
+    # fails slope_bound_k once and no second clause repeats it
+    rep = _tampered(monkeypatch, "slope_profile", _extra_edge, *B1_CASE)
+    failed = rep.counterexample["failed"]
+    assert rep.details["b"] == 1
+    assert "slope_bound_1" in failed
+    assert not [f for f in failed if f.startswith("slope_check_")]
+    assert {row["check"] for row in rep.details["slopes"]} == {"sublattice_projection_bound"}
 
 
 def test_count_calls_rejects_an_unbound_name(monkeypatch):
