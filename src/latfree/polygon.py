@@ -38,6 +38,11 @@ class Polygon:
     lower half-plane ``[pi, 2*pi)`` to the upper one ``[0, pi)``.  The
     vertex tuple is rotated so it starts at the lexicographically
     smallest vertex, which makes equality and serialisation canonical.
+
+    ``Polygon._checked(verts)`` skips the check: it takes a list of
+    ``Vec`` whose turns and winding its caller has already checked with
+    the same predicate, and only rotates it.  Its one caller is the
+    ``enumerate`` walk, which checks each turn once per chain prefix.
     """
 
     __slots__ = ("vertices",)
@@ -63,6 +68,13 @@ class Polygon:
             raise GeometryError("vertex cycle winds more than once")
         start = verts.index(min(verts))
         self.vertices = (*verts[start:], *verts[:start])
+
+    @classmethod
+    def _checked(cls, verts: list[Vec]) -> "Polygon":
+        poly = object.__new__(cls)
+        start = verts.index(min(verts))
+        poly.vertices = (*verts[start:], *verts[:start])
+        return poly
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices

@@ -77,6 +77,7 @@ class NormalizationResult(NamedTuple):
     map: AffineMap
     image: Polygon
     diameter_line_c: int
+    diameter: DiameterWitness  # of the input polygon, whose string the map moves to x1 = c
 
 
 def lattice_diameter(poly: Polygon) -> DiameterWitness:
@@ -192,7 +193,8 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
     if any(lattice.contains(p) for p in pts):
         raise NotLatticeFreeError("polygon not lattice-free")
 
-    (px, py), (qx, qy) = _diameter(pts).segment
+    diameter = _diameter(pts)
+    (px, py), (qx, qy) = diameter.segment
     g = math.gcd(qx - px, qy - py)
     dx, dy = (qx - px) // g, (qy - py) // g
     # R = [[dy, -dx], [r21, r22]] takes (dx, dy) to e2; its determinant
@@ -217,7 +219,7 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
         raise InvariantError("normalized image escapes the slab")
     if not full.is_automorphism_of(lattice):
         raise InvariantError("normalizing map is not an automorphism of n*Z^2")
-    return NormalizationResult(full, image, c)
+    return NormalizationResult(full, image, c, diameter)
 
 
 # --- type predicates -------------------------------------------------------

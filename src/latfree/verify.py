@@ -35,8 +35,14 @@ left around p after the free first edge to its tail.  The stream
 (``enumerate``) walks the DP's live edges depth-first and enters only
 states that have a successor and a completion of at least
 ``min_vertices`` vertices, so every state it enters lies on an emitted
-polygon and its cost follows the output.  The plain chain DFS that the
-DP replaced is kept in the tests as the oracle both are checked against.
+polygon and its cost follows the output.  The walk also checks every
+polygon it emits in integers, with the predicate of the ``Polygon``
+constructor, but on the chain rather than per polygon: the turn at a
+vertex when the chain takes its successor, and the turns at the last
+vertex and at p, with the winding, when the chain closes.  Polygons that
+share a prefix share its checks, and the polygon is built without a
+second pass.  The plain chain DFS that the DP replaced is kept in the
+tests as the oracle both are checked against.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
 from typing import Iterator, NamedTuple, Optional
 
-from .core import E1, E2, InvariantError, Sublattice, Vec, steps
+from .core import E1, E2, InvariantError, Sublattice, Vec, _new, steps
 from .polygon import Polygon, polygon_free_of
 from .reduction import TypeTag, _clause_holds
 from .slopes import (
@@ -132,7 +138,7 @@ class _Grid(NamedTuple):
     directions in [0, pi), and the reverse of rank r < upper is r + upper.
     """
 
-    cand: list  # the candidates (x1, x2), off the lattice
+    cand: list  # the candidates, off the lattice, as Vec
     ids: list  # their ids
     lat: list  # the ids of the lattice points
     lat_before: list  # per candidate, how many lattice points precede it
@@ -166,10 +172,11 @@ def _prepare(lattice: Sublattice, box: SearchBox) -> _Grid:
     cand, ids, lat, lat_before = [], [], [], []
     for y in range(box.x2_min, box.x2_max + 1):
         for x in range(box.x1_min, box.x1_max + 1):
-            if lattice.contains(Vec(x, y)):
+            v = _new(Vec, (x, y))
+            if lattice.contains(v):
                 lat.append(x * stride + y)
             else:
-                cand.append((x, y))
+                cand.append(v)
                 ids.append(x * stride + y)
                 lat_before.append(len(lat))
     return _Grid(cand, ids, lat, lat_before, rank, off, upper)
@@ -320,11 +327,19 @@ def enumerate_free_polygons(
     vertices in the box but not on the lattice, and no lattice point
     inside or on it.  Deterministic order: by lowest vertex, then
     depth-first over the chain's vertices in scan order, each chain
-    before its extensions."""
+    before its extensions.
+
+    The walk checks each polygon with the predicate of ``Polygon``, a
+    strict left turn at every vertex and one winding, but once per chain
+    prefix: a turn when its vertex gets a successor, the last two turns
+    when the chain closes.  A failed check is a fault of the DP and raises
+    ``InvariantError``."""
     min_v = max(3, min_vertices)
     grid = _prepare(lattice, box)
 
-    def walk(x: int, lo: int, hi: int) -> Iterator[Polygon]:
+    def walk(
+        x: int, lo: int, hi: int, ex: int, ey: int, e_low: bool, wraps: int
+    ) -> Iterator[Polygon]:
         # The chain ends at vertex x and out[x][lo:hi] are its live
         # successors, taken in scan order.  Only states with a completion
         # of min_v or more vertices are entered.  Such a chain closes
@@ -333,25 +348,59 @@ def enumerate_free_polygons(
         # is convex and free too, and it is emitted at min_v vertices.  A
         # successor's window is empty exactly when its longest completion
         # is 0, so only states with a nonempty window are entered.
+        #
+        # (ex, ey) is the edge into x, e_low tells whether its direction
+        # lies in [pi, 2*pi), and wraps counts the passages from
+        # [pi, 2*pi) to [0, pi) at the chain's vertices after p and
+        # before x.
         key = (x, lo, hi)
         succ = windows.get(key)
         if succ is None:
             succ = windows[key] = sorted(out[x][lo:hi])
+        bx, by = chain[-1]
         for b, longest, blo, bhi in succ:
             if len(chain) + 1 + longest >= min_v:
-                chain.append(tail[b])
+                c = tail[b]
+                cx, cy = c
+                fx, fy = cx - bx, cy - by
+                if ex * fy - ey * fx <= 0:
+                    raise _chain_error([*chain, c], "does not turn strictly left")
+                f_low = fy < 0 or (fy == 0 and fx < 0)
+                w = wraps + (e_low and not f_low)
+                chain.append(c)
                 if len(chain) >= min_v:
-                    yield Polygon(chain)
+                    # close with c -> p: the turns at c and at p
+                    gx, gy = px - cx, py - cy
+                    if fx * gy - fy * gx <= 0 or gx * hy - gy * hx <= 0:
+                        raise _chain_error(chain, "does not turn strictly left when closed")
+                    g_low = gy < 0 or (gy == 0 and gx < 0)
+                    if w + (f_low and not g_low) + (g_low and not h_low) != 1:
+                        raise _chain_error(chain, "does not wind once when closed")
+                    yield Polygon._checked(chain)
                 if longest:
-                    yield from walk(b, blo, bhi)
+                    yield from walk(b, blo, bhi, fx, fy, f_low, w)
                 chain.pop()
 
     for i0 in range(len(grid.cand)):
         tail, out, _, _ = _fan_dp(grid, i0)
         if out[-1]:
             windows: dict = {}
-            chain = [grid.cand[i0]]
-            yield from walk(len(tail), 0, len(out[-1]))
+            p = grid.cand[i0]
+            px, py = p
+            chain = [p]
+            # the first edges p -> c; the turn at p is checked on closing
+            for b, longest, blo, bhi in sorted(out[-1]):
+                if 2 + longest >= min_v:
+                    c = tail[b]
+                    hx, hy = c[0] - px, c[1] - py
+                    h_low = hy < 0 or (hy == 0 and hx < 0)
+                    chain.append(c)
+                    yield from walk(b, blo, bhi, hx, hy, h_low, 0)
+                    chain.pop()
+
+
+def _chain_error(chain: list, what: str) -> InvariantError:
+    return InvariantError(f"fan DP chain {[tuple(v) for v in chain]} {what}")
 
 
 def _longest(grid: _Grid, i0: int) -> tuple:

@@ -22,7 +22,7 @@ from latfree.polygon import (
     convex_hull,
     lattice_points_in,
 )
-from latfree.reduction import NormalizationResult, SplitProfile, TypeTag
+from latfree.reduction import DiameterWitness, NormalizationResult, SplitProfile, TypeTag
 from latfree.slopes import Frame, Slope, slope_profile, validate_slope
 from latfree.verify import SearchBox, enumerate_free_polygons
 
@@ -342,7 +342,7 @@ def normalize_oracle(poly: Polygon, n: int) -> NormalizationResult:
     pts = lattice_points_in(poly)
     if any(lattice.contains(p) for p in pts):
         raise AssertionError("polygon not lattice-free")
-    _, (p, q) = diameter_pairs_oracle(pts)
+    ell, (p, q) = diameter_pairs_oracle(pts)
     d = q - p
     g = math.gcd(d.x1, d.x2)
     rotate = AffineMap(primitive_to(Vec(d.x1 // g, d.x2 // g), E2), ORIGIN)
@@ -351,7 +351,8 @@ def normalize_oracle(poly: Polygon, n: int) -> NormalizationResult:
     image = apply_affine(poly, move)
     u1, u2 = _chord_cell_oracle(image, 0, n), _chord_cell_oracle(image, n, n)
     shear = AffineMap(Mat2(1, 0, u1 - u2, 1), Vec(0, -u1 * n))
-    return NormalizationResult(shear.compose(move), apply_affine(image, shear), c)
+    diameter = DiameterWitness(ell, Segment(p, q))
+    return NormalizationResult(shear.compose(move), apply_affine(image, shear), c, diameter)
 
 
 def _split_index_oracle(image: Polygon, y: int, n: int) -> int:

@@ -62,9 +62,12 @@ class TestPolygonConstruction:
 
     def test_rejects_double_winding(self):
         # pentagram order: every turn is left but the cycle winds twice
-        pts = [Vec(0, 0), Vec(4, 6), Vec(8, 0), Vec(0, 4), Vec(8, 4)]
-        with pytest.raises(GeometryError):
+        pts = [Vec(0, 0), Vec(8, 4), Vec(0, 4), Vec(8, 0), Vec(4, 6)]
+        with pytest.raises(GeometryError, match="winds more than once"):
             Polygon(pts)
+        # the reverse order turns right at every vertex
+        with pytest.raises(GeometryError, match="not strictly convex"):
+            Polygon(pts[::-1])
 
 
     @pytest.mark.parametrize(

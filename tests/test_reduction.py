@@ -122,10 +122,14 @@ def assert_normalized(poly: Polygon, n: int) -> None:
     assert -n + 1 <= stats.west and stats.east <= 2 * n - 1
     assert 0 <= res.diameter_line_c <= n - 1
     # the image still avoids the lattice and keeps the diameter, read off
-    # one clip of its lattice points
+    # one clip of its lattice points; the input's diameter is the witness
+    # slab_normalize found, a segment in the input polygon
     pts = lattice_points_in(image)
     assert not any(lattice.contains(p) for p in pts)
-    ell = lattice_diameter(poly).length
+    ell, (p, q) = res.diameter
+    assert poly.contains(p) and poly.contains(q)
+    assert math.gcd(q.x1 - p.x1, q.x2 - p.x2) == ell
+    assert res.map(p).x1 == res.map(q).x1 == res.diameter_line_c
     assert reduction._diameter(pts).length == ell
     # a longest lattice string sits on the line x1 = c
     chord = chord_interval(image, Line.vertical(res.diameter_line_c))

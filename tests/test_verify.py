@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latfree.core import Mat2, Sublattice, Vec
+from latfree.cli import run
+from latfree.core import InvariantError, Mat2, Sublattice, Vec
 from latfree.polygon import (
     DegenerateHullError,
     Polygon,
@@ -160,6 +161,51 @@ class TestEnumerate:
         lattice, box = Sublattice.rectangular(3, 3), SearchBox(-2, 5, -1, 4)
         assert sum(1 for _ in enumerate_free_polygons(lattice, box)) == 39712
         assert windows and all(windows)
+
+    @pytest.mark.parametrize(
+        "offsets, min_vertices, fault",
+        [
+            pytest.param([(1, 0), (2, 0), (2, 1)], 4, "turn strictly left", id="collinear"),
+            pytest.param([(2, 0), (1, -1), (2, 1)], 4, "turn strictly left", id="right-turn"),
+            pytest.param(
+                [(4, 0), (4, 4), (2, 1)], 4, "turn strictly left when closed", id="closing-at-last"
+            ),
+            pytest.param(
+                [(2, 0), (2, 2), (-2, 2), (-2, 0)], 5, "turn strictly left when closed",
+                id="closing-at-start",
+            ),
+            # pentagram order: every turn is left but the cycle winds twice
+            pytest.param(
+                [(8, 4), (0, 4), (8, 0), (4, 6)], 5, "wind once when closed", id="double-winding"
+            ),
+        ],
+    )
+    def test_walk_checks_each_chain(
+        self, monkeypatch, tmp_path, capsys, offsets, min_vertices, fault
+    ):
+        # a hand-made DP result: one chain from the first start p through
+        # p + offsets, every vertex on its longest completion, and no
+        # polygon from the other starts; each chain fails one check only,
+        # and no shorter chain is emitted first
+        lattice, box = Sublattice.rectangular(2, 2), SearchBox(0, 2, 0, 2)
+        p = verify._prepare(lattice, box).cand[0]
+        tail = [p + Vec(*d) for d in offsets]
+        m = len(tail)
+        # out[k] holds the edge tail[k] -> tail[k + 1], out[m] the edge p -> tail[0]
+        out = [[(k + 1, m - 2 - k, 0, int(k < m - 2))] for k in range(m - 1)]
+        out += [[], [(0, m - 1, 0, 1)]]
+        monkeypatch.setattr(
+            verify, "_fan_dp", lambda grid, i0: (tail, out, 1, m) if i0 == 0 else ([], [[]], 0, 0)
+        )
+        with pytest.raises(InvariantError, match=f"^fan DP chain .* {fault}$"):
+            list(enumerate_free_polygons(lattice, box, min_vertices))
+        # the command line reports it as a fault of the computation
+        lat = tmp_path / "lat.json"
+        lat.write_text(json.dumps({"delta": 2, "n": 2}))
+        argv = ["enumerate", "--lattice", str(lat), "--box", "0,2,0,2"]
+        assert run(argv + ["--min-vertices", str(min_vertices)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fan DP chain ") and err.count("\n") == 1
 
     def test_every_emitted_polygon_is_free(self):
         lattice = Sublattice.rectangular(2, 2)
@@ -371,6 +417,8 @@ class TestFanDP:
         for k in range(3, nu + 1):
             got = [p.vertices for p in enumerate_free_polygons(lattice, box, k)]
             assert got == [_as_polygon(c) for c in chains if len(c) >= k], k
+            # the walk's polygons hold the Vec and int objects Polygon makes
+            assert all(type(v) is Vec and all(type(c) is int for c in v) for vs in got for v in vs)
 
     @given(oracle_cases())
     @settings(max_examples=300, deadline=None)
