@@ -327,13 +327,8 @@ def enumerate_free_polygons(
     vertices in the box but not on the lattice, and no lattice point
     inside or on it.  Deterministic order: by lowest vertex, then
     depth-first over the chain's vertices in scan order, each chain
-    before its extensions.
-
-    The walk checks each polygon with the predicate of ``Polygon``, a
-    strict left turn at every vertex and one winding, but once per chain
-    prefix: a turn when its vertex gets a successor, the last two turns
-    when the chain closes.  A failed check is a fault of the DP and raises
-    ``InvariantError``."""
+    before its extensions.  A polygon that fails the turn or winding check
+    of ``Polygon`` is a fault of the DP and raises ``InvariantError``."""
     min_v = max(3, min_vertices)
     grid = _prepare(lattice, box)
 
