@@ -292,7 +292,6 @@ def test_bad_box_is_usage_error(files, capsys):
 @pytest.mark.parametrize(
     "command",
     [
-        pytest.param(["verify", "--lattice", "lat.json", "--out"], id="verify-out"),
         pytest.param(["enumerate", "--lattice", "lat.json", "--box", "0,2,0,2", "--out"], id="enumerate-out"),
         pytest.param(["classify", "quad.json", "--n", "3", "--out"], id="classify-out"),
         pytest.param(["analyze", "quad.json", "--svg"], id="analyze-svg"),
@@ -314,6 +313,7 @@ def test_unwritable_output_is_usage_error(files, capsys, command):
     "command",
     [
         pytest.param(["verify", "--lattice", "lat.json", "--box", "0,2,0,2", "--out"], id="verify"),
+        pytest.param(["verify", "--lattice", "lat.json", "--out"], id="verify-default-box"),
         pytest.param(["enumerate", "--lattice", "lat.json", "--box", "0,2,0,2", "--out"], id="enumerate"),
         pytest.param(["analyze", "quad.json", "--out"], id="analyze"),
         pytest.param(["analyze", "quad.json", "--svg"], id="analyze-svg"),
