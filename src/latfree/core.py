@@ -41,9 +41,6 @@ class Vec(NamedTuple):
     def cross(self, other: "Vec") -> int:
         return self.x1 * other.x2 - self.x2 * other.x1
 
-    def is_primitive(self) -> bool:
-        return math.gcd(self.x1, self.x2) == 1
-
 
 ORIGIN = Vec(0, 0)
 E1 = Vec(1, 0)

@@ -19,13 +19,14 @@ start and edge.
 
 Angles are compared as direction ranks: the primitive directions of the
 box's differences, sorted once per box by exact cross products.  The DP
-runs eagerly, once per start.  It tests each pair of later points on
-different rays from p for a free fan triangle once, with the lattice
-points sliced by their rank from p, and keeps the edge that turns left
-around p.  It then solves the free edges in decreasing rank, so the edges
-that may follow an edge, those at its head in a window of ranks above its
-own, are solved before it.  Their counts and longest completions are read
-from per-vertex tables by bisection.
+runs eagerly, once per start, in one pass over the starts in scan order
+that both commands read.  It tests each pair of later points on different
+rays from p for a free fan triangle once, with the lattice points sliced
+by their rank from p, and lists the edge that turns left around p as a
+pair (u, v) in the list of its rank.  It then solves the free edges in
+decreasing rank, so the edges that may follow an edge, those at its head
+in a window of ranks above its own, are solved before it.  Their counts
+and longest completions are read from per-vertex tables by bisection.
 
 The threshold check (``verify``) reads the count, the largest vertex count
 and one witness off the DP.  ``chains_explored`` counts the edges the DP
@@ -193,8 +194,8 @@ def _fan_edges(grid: _Grid, i0: int) -> tuple:
     segment holds no lattice point, and u -> v when u and v lie on
     different rays from p, v at the larger rank, and the fan triangle
     (p, u, v) holds no lattice point, on its boundary included.  Returns
-    (rp, by_rank): rp[k] is the rank of tail[k] - p, and by_rank[s] =
-    (us, vs) lists the free edges us[i] -> vs[i] of rank s.
+    (rp, by_rank): rp[k] is the rank of tail[k] - p, and by_rank[s] lists
+    the free edges of rank s as pairs (u, v), the first edges (m, b) first.
     """
     rank, off, upper = grid.rank, grid.off, grid.upper
     pid = grid.ids[i0]
@@ -226,12 +227,9 @@ def _fan_edges(grid: _Grid, i0: int) -> tuple:
         if j < len(order):
             folds[j].append(lid)
 
-    us: list = [[] for _ in range(2 * upper)]
-    vs: list = [[] for _ in range(2 * upper)]
+    by_rank: list = [[] for _ in range(2 * upper)]
     for r in order:
-        for b in rays[r]:
-            us[r].append(m)
-            vs[r].append(b)
+        by_rank[r] += [(m, b) for b in rays[r]]
     for gi, r in enumerate(order):
         last = r + upper - 1
         for u in rays[r]:
@@ -254,9 +252,8 @@ def _fan_edges(grid: _Grid, i0: int) -> tuple:
                 for v in rays[order[gj]]:
                     s = rank[b0 + tids[v]]
                     if s > t:
-                        us[s].append(u)
-                        vs[s].append(v)
-    return rp, list(zip(us, vs))
+                        by_rank[s].append((u, v))
+    return rp, by_rank
 
 
 def _fan_dp(grid: _Grid, i0: int) -> tuple:
@@ -293,12 +290,12 @@ def _fan_dp(grid: _Grid, i0: int) -> tuple:
     sval: list = [[] for _ in range(m + 1)]
     out: list = [[] for _ in range(m + 1)]
     for s in range(2 * upper - 1, -1, -1):
-        us, vs = by_rank[s]
-        if not us:
+        edges = by_rank[s]
+        if not edges:
             continue
         live = []
         cut, close = -s - upper, s - upper
-        for u, v in zip(us, vs):
+        for u, v in edges:
             nr = negr[v]
             lo, hi = bisect_right(nr, cut), len(nr)
             c = cum[v]
@@ -317,7 +314,15 @@ def _fan_dp(grid: _Grid, i0: int) -> tuple:
             sp.append(len(out[u]))
             sv.append(longest)
             out[u].append((v, longest, lo, hi))
-    return grid.cand[i0 + 1 :], out, cum[m][-1], sum(len(us) for us, _ in by_rank)
+    return grid.cand[i0 + 1 :], out, cum[m][-1], sum(map(len, by_rank))
+
+
+def _fans(lattice: Sublattice, box: SearchBox) -> Iterator[tuple]:
+    """The fan DP of every start p, in scan order: (p, tail, out, count,
+    solved), the last four as ``_fan_dp`` returns them."""
+    grid = _prepare(lattice, box)
+    for i0, p in enumerate(grid.cand):
+        yield (p, *_fan_dp(grid, i0))
 
 
 def enumerate_free_polygons(
@@ -330,7 +335,6 @@ def enumerate_free_polygons(
     before its extensions.  A polygon that fails the turn or winding check
     of ``Polygon`` is a fault of the DP and raises ``InvariantError``."""
     min_v = max(3, min_vertices)
-    grid = _prepare(lattice, box)
 
     def walk(
         x: int, lo: int, hi: int, ex: int, ey: int, e_low: bool, wraps: int
@@ -376,11 +380,9 @@ def enumerate_free_polygons(
                     yield from walk(b, blo, bhi, fx, fy, f_low, w)
                 chain.pop()
 
-    for i0 in range(len(grid.cand)):
-        tail, out, _, _ = _fan_dp(grid, i0)
+    for p, tail, out, _, _ in _fans(lattice, box):
         if out[-1]:
             windows: dict = {}
-            p = grid.cand[i0]
             px, py = p
             chain = [p]
             # the first edges p -> c; the turn at p is checked on closing
@@ -396,22 +398,6 @@ def enumerate_free_polygons(
 
 def _chain_error(chain: list, what: str) -> InvariantError:
     return InvariantError(f"fan DP chain {[tuple(v) for v in chain]} {what}")
-
-
-def _longest(grid: _Grid, i0: int) -> tuple:
-    """(chain, count, solved edges) for the start cand[i0], where the chain is
-    the lexicographically smallest longest polygon, () when no polygon
-    starts there."""
-    tail, out, count, solved = _fan_dp(grid, i0)
-    # from p and then from each state take, among the successors with the
-    # longest completion, the smallest as (x1, x2); scan order is (x2, x1),
-    # so the first of them is not always the smallest
-    x, lo, hi = len(tail), 0, len(out[-1])
-    chain = [grid.cand[i0]] if hi else []
-    while lo < hi:
-        x, _, lo, hi = min(out[x][lo:hi], key=lambda e: (-e[1], tail[e[0]]))
-        chain.append(tail[x])
-    return tuple(chain), count, solved
 
 
 class VerificationReport(NamedTuple):
@@ -451,13 +437,19 @@ def verify_vertex_threshold(
         box = default_box(lattice)
     nu = critical_vertex_count(lattice.delta, lattice.n)
     start = time.perf_counter()
-    grid = _prepare(lattice, box)
-    best: tuple = ()  # the longest chain, the smallest one on ties
+    best: list = []  # the longest chain, the smallest one on ties
     found = states = 0
-    for i0 in range(len(grid.cand)):
-        chain, count, solved = _longest(grid, i0)
+    for p, tail, out, count, solved in _fans(lattice, box):
         found += count
         states += solved
+        # from p and then from each state take, among the successors with the
+        # longest completion, the smallest as (x1, x2); scan order is (x2, x1),
+        # so the first of them is not always the smallest
+        x, lo, hi = len(tail), 0, len(out[-1])
+        chain = [p] if hi else []
+        while lo < hi:
+            x, _, lo, hi = min(out[x][lo:hi], key=lambda e: (-e[1], tail[e[0]]))
+            chain.append(tail[x])
         if len(chain) > len(best) or (len(chain) == len(best) and chain < best):
             best = chain
     witness = Polygon(best) if best else None
@@ -604,8 +596,6 @@ def type_ii_bound_pipeline(
     )
     if not (two_n <= mid <= upper <= final):
         failures.append("summed_chain")
-    if not n_vertices <= 2 * n + 2 - 2 * b:
-        failures.append("vertex_bound")
     return _pipeline_report(details, failures, poly, vertex_lattice)
 
 

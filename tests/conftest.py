@@ -312,7 +312,7 @@ def _chord_cell_oracle(image: Polygon, x1: int, n: int) -> int:
 def _map_to_first_axis(v: Vec) -> Mat2:
     # unimodular M with M @ v = (1, 0); Bezout coefficient reduced to the
     # smallest nonnegative residue so the result is canonical
-    if not v.is_primitive():
+    if math.gcd(v.x1, v.x2) != 1:
         raise LatticeError("vector not primitive")
     if v.x2 == 0:
         x, y = (1 if v.x1 > 0 else -1), 0

@@ -2,6 +2,7 @@
 strips ``assert`` statements) must not change what the CLI does."""
 
 import ast
+import collections
 import json
 import os
 import subprocess
@@ -63,13 +64,13 @@ def test_no_unused_private_definitions_in_library():
     assert not dead, f"private definitions never referenced in latfree: {dead}"
 
 
-def _referenced_names(path: Path) -> set:
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return {
+def _read_names(tree: ast.AST) -> collections.Counter:
+    # how often each name is read, as a Name or an Attribute
+    return collections.Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
-    }
+    )
 
 
 def test_every_export_has_a_caller():
@@ -86,9 +87,31 @@ def test_every_export_has_a_caller():
     callers = [p for p in sorted((SRC / "latfree").glob("*.py")) if p.name != "__init__.py"]
     callers += sorted(PERFBENCH.glob("*.py"))
     assert len(callers) > 7, "perfbench/ not found beside src/"
-    used = set().union(*(_referenced_names(path) for path in callers))
+    used = set().union(*(_read_names(ast.parse(path.read_text())) for path in callers))
     unused = [name for name in exported if name not in used]
     assert not unused, f"latfree exports {unused} but nothing in src/latfree or perfbench/ reads them"
+
+
+def test_every_public_method_has_a_caller():
+    # the same rule for a public method, property or classmethod of a class
+    # in the package: it must be read in src/latfree outside its own
+    # definition, or by the benchmark
+    library = sorted((SRC / "latfree").glob("*.py"))
+    reads = sum(
+        (_read_names(ast.parse(path.read_text())) for path in library + sorted(PERFBENCH.glob("*.py"))),
+        collections.Counter(),
+    )
+    unused = [
+        f"{path.name}:{cls.name}.{node.name}"
+        for path in library
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and reads[node.name] == _read_names(node)[node.name]
+    ]
+    assert not unused, f"public methods that nothing in src/latfree or perfbench/ reads: {unused}"
 
 
 def _defaulted_params(body: list, cls: str | None = None) -> list:
