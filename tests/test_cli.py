@@ -292,6 +292,26 @@ def test_bad_box_is_usage_error(files, capsys):
 @pytest.mark.parametrize(
     "command",
     [
+        pytest.param(["enumerate", "--lattice", "lat.json", "--box", "0,2,0,2", "--out"], id="enumerate-out"),
+        pytest.param(["classify", "quad.json", "--n", "3", "--out"], id="classify-out"),
+        pytest.param(["analyze", "quad.json", "--svg"], id="analyze-svg"),
+    ],
+)
+def test_unwritable_output_is_usage_error(files, capsys, command):
+    tmp, write = files
+    write("lat.json", {"delta": 2, "n": 2})
+    write("quad.json", {"vertices": [[1, -1], [4, 1], [2, 4], [-1, 2]]})
+    target = tmp / "missing-dir" / "out.file"
+    argv = [str(tmp / arg) if arg.endswith(".json") else arg for arg in command]
+    assert run(argv + [str(target)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"error: cannot write {target}:")
+    assert not any(line.startswith("error:") for line in err[:-1])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
         pytest.param(["verify", "--lattice", "lat.json", "--box", "0,2,0,2", "--out"], id="verify"),
         pytest.param(["verify", "--lattice", "lat.json", "--out"], id="verify-default-box"),
         pytest.param(["enumerate", "--lattice", "lat.json", "--box", "0,2,0,2", "--out"], id="enumerate"),
