@@ -91,7 +91,7 @@ def _probe_out(path: Optional[str]) -> None:
 def _write_out(path: Optional[str], obj, polygons: Optional[list] = None) -> None:
     """Write ``json.dump(obj, indent=2, sort_keys=True)`` and a newline.
 
-    ``polygons``, a list of polygon objects, is added under the key
+    ``polygons``, a list of ``Polygon``, is added under the key
     "polygons", which must sort after every key of ``obj``.  With
     ``indent`` set, json runs its pure-Python encoder, so that list is
     written from a per-vertex template instead, with the same bytes.
@@ -111,13 +111,13 @@ _VERTEX = "        [\n          %d,\n          %d\n        ]"
 
 
 def _polygons_text(polygons: list) -> str:
-    # the indented JSON of a list of {"vertices": [[x1, x2], ...]} objects
-    # one level down in a report
+    # the indented JSON of the polygons, each as {"vertices": [[x1, x2],
+    # ...]}, one level down in a report
     if not polygons:
         return "[]"
     items = [
         '    {\n      "vertices": [\n%s\n      ]\n    }'
-        % ",\n".join([_VERTEX % (x, y) for x, y in poly["vertices"]])
+        % ",\n".join([_VERTEX % (x, y) for x, y in poly.vertices])
         for poly in polygons
     ]
     return "[\n%s\n  ]" % ",\n".join(items)
@@ -158,7 +158,7 @@ def _cmd_analyze(args) -> int:
     ms = maximal_slopes(poly)
     stats = ms.stats
     print(f"vertices:        {len(poly)}")
-    print(f"area2:           {poly.area2()}")
+    print(f"area2:           {pick.area2}")
     print(f"pick:            interior={pick.interior} boundary={pick.boundary} holds={pick.holds}")
     print(f"lattice diameter: {diameter.length} on {tuple(diameter.segment.a)}..{tuple(diameter.segment.b)}")
     print(f"bounding stats:  {stats}")
@@ -169,7 +169,7 @@ def _cmd_analyze(args) -> int:
         args.out,
         {
             "polygon": poly.to_obj(),
-            "area2": poly.area2(),
+            "area2": pick.area2,
             "pick": {"interior": pick.interior, "boundary": pick.boundary, "holds": pick.holds},
             "lattice_diameter": diameter.length,
             "bounding_stats": stats._asdict(),
@@ -281,7 +281,7 @@ def _cmd_enumerate(args) -> int:
         write('{"vertices": [%s]}\n' % ", ".join(map(text, poly.vertices)))
         count += 1
         if found is not None:
-            found.append(poly.to_obj())
+            found.append(poly)
     print(f"found {count} polygons", file=sys.stderr)
     _write_out(args.out, {"lattice": lattice.to_obj(), "box": box.to_obj(), "count": count}, found)
     return 0
@@ -318,54 +318,48 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="area, Pick counts, diameter, bounding stats, maximal slopes")
     p.add_argument("polygon")
     p.add_argument("--svg", help="write an SVG outline with lattice dots")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("normalize", help="move the polygon into the canonical vertical slab")
     p.add_argument("polygon")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("classify", help="classify an n-lattice-free polygon into types I-VI")
     p.add_argument("polygon")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("slopes", help="splitting-frame analysis and edge-count checks for a slope")
     p.add_argument("slope")
     p.add_argument("--origin", required=True, help="frame origin as x,y")
     p.add_argument("--lattice", help="optional vertex lattice JSON for the sharpened bounds")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_slopes)
 
     p = sub.add_parser("check-bounds", help="typed vertex bounds and the type II pipeline")
     p.add_argument("polygon")
     p.add_argument("--lattice", required=True, help="vertex lattice JSON")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_check_bounds)
 
     p = sub.add_parser("enumerate", help="stream lattice-free convex polygons over a box")
     p.add_argument("--lattice", required=True)
     p.add_argument("--box", required=True, help="x1min,x1max,x2min,x2max")
     p.add_argument("--min-vertices", type=int, default=3)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("extremal", help="the (nu-1)-gon avoiding delta*Z x n*Z")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("verify", help="exhaustive vertex-threshold check over a box")
     p.add_argument("--lattice", required=True)
     p.add_argument("--box", help="x1min,x1max,x2min,x2max (default: the slab box)")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 

@@ -204,18 +204,19 @@ def _fan_edges(grid: _Grid, i0: int) -> tuple:
     base = off - pid
     rp = [rank[base + t] for t in tids]
     # The lattice points in p's upper set are the only ones a fan triangle
-    # can hold.  Ids grow linearly along a ray, so |id - pid| orders each
-    # ray from p outwards.
+    # can hold.  A later point lies on a ray from p of direction (dx, dy)
+    # with dy > 0, or dy == 0 and dx > 0, so scan order, (x2, x1), lists
+    # each ray outwards, and its first lattice point is the nearest.
     upper_lat = grid.lat[grid.lat_before[i0] :]
     nearest: dict = {}
     for lid in upper_lat:
-        r = rank[base + lid]
-        nearest[r] = min(abs(lid - pid), nearest.get(r, math.inf))
+        nearest.setdefault(rank[base + lid], abs(lid - pid))
     # A point behind a lattice point on its ray from p lies on no free
     # edge: every fan triangle at it covers that segment.  The others,
-    # grouped by ray and ordered outwards.
+    # grouped by ray and listed outwards; ids grow linearly along a ray,
+    # so |id - pid| is the distance along it.
     rays: dict = {}
-    for k in sorted(range(m), key=lambda k: abs(tids[k] - pid)):
+    for k in range(m):
         if abs(tids[k] - pid) < nearest.get(rp[k], math.inf):
             rays.setdefault(rp[k], []).append(k)
     order = sorted(rays)

@@ -232,7 +232,7 @@ def test_enumerate_serializes_only_for_out(files, capsys, monkeypatch):
     assert to_obj_calls == [] and dumps_calls == []
     out = tmp / "polygons.json"
     assert run(argv + ["--out", str(out)]) == 0
-    assert len(to_obj_calls) == 483 and dumps_calls == []
+    assert to_obj_calls == [] and dumps_calls == []
     monkeypatch.undo()
     polygons = list(enumerate_free_polygons(Sublattice.rectangular(2, 2), SearchBox(-1, 3, -1, 3)))
     report = {

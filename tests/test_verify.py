@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -397,6 +398,13 @@ def _check_free_edges(lattice: Sublattice, box: SearchBox) -> None:
         _, by_rank = verify._fan_edges(grid, i0)
         got = collections.Counter((s, u, v) for s, edges in enumerate(by_rank) for u, v in edges)
         assert set(got) == want and set(got.values()) <= {1}, p
+        # each rank lists its first edges (m, b) before the other pairs,
+        # with their heads outwards from p
+        for edges in by_rank:
+            heads = [b for _, b in itertools.takewhile(lambda e: e[0] == m, edges)]
+            assert all(u != m for u, _ in edges[len(heads) :]), p
+            dist = [(tail[b][0] - p[0]) ** 2 + (tail[b][1] - p[1]) ** 2 for b in heads]
+            assert dist == sorted(set(dist)), p
         assert verify._fan_dp(grid, i0)[3] == len(want)
 
 
@@ -470,6 +478,45 @@ class TestFanDP:
         assert rep.chains_explored == 1_883_780
         assert rep.consistent
         assert len(rep.witness) == 14 and polygon_free_of(rep.witness, lattice)
+
+
+SETTLED = json.loads((Path(__file__).resolve().parents[1] / "SETTLED.json").read_text())
+
+
+def test_settled_table():
+    # one slab-box row per valid (delta, n) with n <= 8, and a witness that
+    # checks without a search
+    pairs = [(d, n) for n in range(2, 9) for d in range(1, n + 1) if n % d == 0]
+    assert [(r["lattice"]["delta"], r["lattice"]["n"]) for r in SETTLED["rows"]] == pairs
+    for row in SETTLED["rows"]:
+        lattice = Sublattice.from_obj(row["lattice"])
+        box = SearchBox(*row["box"])
+        assert box == default_box(lattice)
+        assert row["nu"] == critical_vertex_count(lattice.delta, lattice.n)
+        assert row["consistent"] == (row["max_vertices_found"] <= row["nu"] - 1)
+        w = row["witness"]
+        if w is None:
+            assert row["max_vertices_found"] == 0
+            continue
+        poly = Polygon.from_obj(w)
+        assert poly.to_obj() == w
+        assert len(poly) == row["max_vertices_found"]
+        assert all(
+            box.x1_min <= x1 <= box.x1_max and box.x2_min <= x2 <= box.x2_max
+            for x1, x2 in poly.vertices
+        )
+        assert polygon_free_of(poly, lattice)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "row", SETTLED["rows"], ids=lambda row: "{delta},{n}".format(**row["lattice"])
+)
+def test_settled_row_replays(row):
+    rep = verify_vertex_threshold(Sublattice.from_obj(row["lattice"]), SearchBox(*row["box"]))
+    got, want = rep.to_obj(), dict(row)
+    del got["elapsed_seconds"], want["elapsed_seconds"]
+    assert got == want
 
 
 class TestTypeVertexBound:
