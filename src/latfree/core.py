@@ -45,6 +45,7 @@ class Vec(NamedTuple):
 ORIGIN = Vec(0, 0)
 E1 = Vec(1, 0)
 E2 = Vec(0, 1)
+NEG_E1, NEG_E2 = Vec(-1, 0), Vec(0, -1)  # so no turned axis basis negates a vector per call
 
 # _new(Vec, (x1, x2)) makes the same Vec as Vec(x1, x2) without a call of
 # the namedtuple's Python-level __new__

@@ -188,9 +188,8 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
     """
     if n < 2:
         raise ValueError("slab normalization needs n >= 2")
-    lattice = Sublattice.rectangular(n, n)
     pts = lattice_points_in(poly)
-    if any(lattice.contains(p) for p in pts):
+    if any(not (x % n or y % n) for x, y in pts):  # a point of n*Z^2
         raise NotLatticeFreeError("polygon not lattice-free")
 
     diameter = _diameter(pts)
@@ -217,7 +216,7 @@ def slab_normalize(poly: Polygon, n: int) -> NormalizationResult:
     xs = [x for x, _ in image.vertices]
     if not (-n + 1 <= min(xs) and max(xs) <= 2 * n - 1):
         raise InvariantError("normalized image escapes the slab")
-    if not full.is_automorphism_of(lattice):
+    if not full.is_automorphism_of(Sublattice.rectangular(n, n)):
         raise InvariantError("normalizing map is not an automorphism of n*Z^2")
     return NormalizationResult(full, image, c, diameter)
 
@@ -232,14 +231,15 @@ def _extent(verts, axis: int) -> tuple[int, int]:
     return min(coords), max(coords)
 
 
-def _cell(verts, axis: int, c: int, n: int) -> Optional[int]:
+def _cell(verts, axis: int, c: int, n: int, extent: tuple[int, int]) -> Optional[int]:
     """The k with the axis chord :func:`_chord` of the line x_axis = c
-    inside [k*n, (k+1)*n], for a counter-clockwise vertex sequence.
+    inside [k*n, (k+1)*n], for a counter-clockwise vertex sequence whose
+    x_axis extent is ``extent``.
 
     None when the line does not split the polygon or when no such k
     exists.  A splitting line's chord has positive length, so k is unique.
     """
-    lo, hi = _extent(verts, axis)
+    lo, hi = extent
     if not lo < c < hi:
         return None
     chord = _chord(verts, axis, c)
@@ -264,18 +264,18 @@ _TYPE_CLAUSES: dict[str, tuple[tuple[int, int, Optional[int]], ...]] = {
 }
 
 
-def _clause_holds(verts, kind: str, n: int) -> bool:
+def _clause_holds(verts, kind: str, n: int, extents: tuple) -> bool:
     """Walk the split clause of type ``kind`` (one of "II".."VI") on a
-    counter-clockwise vertex sequence."""
+    counter-clockwise vertex sequence with x1 and x2 extents ``extents``."""
     clause = _TYPE_CLAUSES.get(kind)
     if clause is None:
         raise ValueError(f"unknown type tag {kind!r}")
     for axis, m, cell in clause:
         if cell is None:
-            lo, hi = _extent(verts, axis)
+            lo, hi = extents[axis]
             if lo < m * n < hi:
                 return False
-        elif _cell(verts, axis, m * n, n) != cell:
+        elif _cell(verts, axis, m * n, n, extents[axis]) != cell:
             return False
     return True
 
@@ -290,24 +290,25 @@ def satisfies_type(poly: Polygon, tag: TypeTag) -> bool:
     if n < 1:
         raise ValueError("the type clauses need n >= 1")
     verts = poly.vertices
-    west, east = _extent(verts, 0)
+    west, east = x1 = _extent(verts, 0)
     if tag.kind == "I":
         return _in_axis_slab(west, east, n) or _in_axis_slab(*_extent(verts, 1), n)
     if tag.kind == "IV" and (west <= -n <= east or west <= 2 * n <= east):
         return False
-    return _clause_holds(verts, tag.kind, n)
+    return _clause_holds(verts, tag.kind, n, (x1, _extent(verts, 1)))
 
 
 # --- classification --------------------------------------------------------
 
 
-def _split_index(poly: Polygon, y: int, n: int) -> int:
-    """Which of the three unit segments on the line x2 = y splits the polygon.
+def _split_index(verts, y: int, n: int, extent: tuple[int, int]) -> int:
+    """Which of the three unit segments on the line x2 = y splits the polygon
+    with vertices ``verts`` and x2 extent ``extent``.
 
     Returns 1, 2 or 3 for [(-n,y),(0,y)], [(0,y),(n,y)], [(n,y),(2n,y)],
     that is for the cells -1, 0 and 1 of the line, or 0 when none does.
     """
-    cell = _cell(poly.vertices, 1, y, n)
+    cell = _cell(verts, 1, y, n, extent)
     return cell + 2 if cell in (-1, 0, 1) else 0
 
 
@@ -317,6 +318,7 @@ _FLIP_X2 = Mat2(1, 0, 0, -1)
 _HALF_TURN = Mat2(-1, 0, 0, -1)
 _QUARTER_TURN = Mat2(0, -1, 1, 0)
 _SWAP = Mat2(0, 1, 1, 0)
+_IDENTITY_MAP = AffineMap.identity()
 # the split index after the reflection x -> (n - x1, x2), by the index before
 _MIRROR = (0, 3, 2, 1)
 
@@ -387,14 +389,16 @@ def _classify(poly: Polygon, n: int) -> tuple[AffineMap, TypeTag, Polygon]:
     norm = slab_normalize(poly, n)
     image, total = norm.image, norm.map
 
-    west, east = _extent(image.vertices, 0)
+    verts = image.vertices
+    west, east = _extent(verts, 0)
     left, right = west < 0 < east, west < n < east
 
     if not left and not right:
         profile = SplitProfile("A", None, None)
         kind = "I"
     else:
-        i, j = _split_index(image, 0, n), _split_index(image, n, n)
+        x2 = _extent(verts, 1)
+        i, j = _split_index(verts, 0, n, x2), _split_index(verts, n, n, x2)
         reflect = right and not left
         if reflect:
             i, j = _MIRROR[i], _MIRROR[j]
@@ -407,7 +411,7 @@ def _classify(poly: Polygon, n: int) -> tuple[AffineMap, TypeTag, Polygon]:
         finish = AffineMap(linear, Vec(t1 * n, t2 * n))
         if reflect:
             finish = finish.compose(AffineMap(_FLIP_X1, Vec(n, 0)))  # x -> (n - x1, x2) first
-        if finish != AffineMap.identity():
+        if finish != _IDENTITY_MAP:
             image = apply_affine(image, finish)
             total = finish.compose(total)
 

@@ -24,7 +24,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .core import E1, E2, InvariantError, Mat2, Sublattice, Vec, _new, int_pairs, xgcd
+from .core import (
+    E1, E2, NEG_E1, NEG_E2, InvariantError, Mat2, Sublattice, Vec, _new, int_pairs, xgcd,
+)
 from .polygon import BoundingStats, Polygon, bounding_stats
 
 
@@ -76,13 +78,15 @@ def validate_slope(vertices: list[Vec] | tuple[Vec, ...], f1: Vec, f2: Vec) -> S
 
     A single point is a valid slope with no edges.
     """
-    frame = Mat2.from_columns(f1, f2)
-    if not frame.is_unimodular():
+    (b11, b21), (b12, b22) = f1, f2
+    det = b11 * b22 - b12 * b21
+    if det not in (1, -1):
         raise SlopeError("slope basis must be a unimodular basis of Z^2")
     verts = tuple([_new(Vec, (int(v[0]), int(v[1]))) for v in vertices])
     if not verts:
         raise SlopeError("slope needs at least one vertex")
-    a11, a12, a21, a22 = frame.inverse_unimodular()
+    # the inverse of the unimodular basis matrix, whose determinant is +-1
+    a11, a12, a21, a22 = det * b22, -det * b12, -det * b21, det * b11
     coords = tuple([_new(Vec, (a11 * x + a12 * y, a21 * x + a22 * y)) for x, y in verts])
     edges = [(qx - px, qy - py) for (px, py), (qx, qy) in zip(coords, coords[1:])]
     for i, a in enumerate(edges, start=1):
@@ -121,22 +125,18 @@ class MaximalSlopes(NamedTuple):
         return tuple(q.n_edges for q in self.slopes)
 
 
-def _arc(poly: Polygon, start: Vec, stop: Vec, f1: Vec, f2: Vec) -> Slope:
-    verts = poly.vertices
-    i = verts.index(start)
-    run = [verts[i]]
-    while verts[i] != stop:
-        i = (i + 1) % len(verts)
-        run.append(verts[i])
-    return validate_slope(run, f1, f2)
+def _arc(verts: tuple[Vec, ...], start: Vec, stop: Vec, f1: Vec, f2: Vec) -> Slope:
+    # the counter-clockwise run of vertices from start to stop
+    i, j = verts.index(start), verts.index(stop)
+    return validate_slope(verts[i : j + 1] if i <= j else verts[i:] + verts[: j + 1], f1, f2)
 
 
 def maximal_slopes(poly: Polygon) -> MaximalSlopes:
-    s = bounding_stats(poly)
-    q4 = _arc(poly, Vec(s.west, s.west_minus), Vec(s.south_minus, s.south), E1, E2)
-    q1 = _arc(poly, Vec(s.south_plus, s.south), Vec(s.east, s.east_minus), E2, -E1)
-    q2 = _arc(poly, Vec(s.east, s.east_plus), Vec(s.north_plus, s.north), -E1, -E2)
-    q3 = _arc(poly, Vec(s.north_minus, s.north), Vec(s.west, s.west_plus), -E2, E1)
+    s, verts = bounding_stats(poly), poly.vertices
+    q4 = _arc(verts, (s.west, s.west_minus), (s.south_minus, s.south), E1, E2)
+    q1 = _arc(verts, (s.south_plus, s.south), (s.east, s.east_minus), E2, NEG_E1)
+    q2 = _arc(verts, (s.east, s.east_plus), (s.north_plus, s.north), NEG_E1, NEG_E2)
+    q3 = _arc(verts, (s.north_minus, s.north), (s.west, s.west_plus), NEG_E2, E1)
     faces = (
         int(s.south_minus != s.south_plus),
         int(s.east_minus != s.east_plus),
@@ -202,8 +202,9 @@ class SlopeProfile(NamedTuple):
 
     @property
     def small_angle(self) -> bool:
-        """True iff the crossing edge's direction ratio is at least one."""
-        return self.alpha >= 1
+        """True iff the crossing edge's direction ratio is at least one,
+        that is a1 >= -a2 for the crossing edge (a1, a2) in lowest terms."""
+        return self.alpha.numerator >= self.alpha.denominator
 
     @property
     def pihat(self) -> int:
@@ -226,24 +227,34 @@ def slope_profile(frame: Frame, slope: Slope) -> Optional[SlopeProfile]:
     (ax, ay), (bx, by) = coords[0], coords[-1]
     if not (ax < 0 < ay and by < 0 < bx):
         return None
-    edges = [(qx - px, qy - py) for (px, py), (qx, qy) in zip(coords, coords[1:])]
-    if not all(ex > 0 > ey for ex, ey in edges):
-        raise InvariantError("slope edges point down-right in frame coordinates")
+    # one scan checks every edge (a1, a2) and finds j, the first vertex
+    # right of x1 = 0, and k, the first below x2 = 0, with the crossing
+    # edge into c_k and the unit-drop edges before it
+    j = k = 0
+    s_edges = []
+    px, py = ax, ay
+    for i, (qx, qy) in enumerate(coords[1:], start=1):
+        if not (qx > px and qy < py):
+            raise InvariantError("slope edges point down-right in frame coordinates")
+        if not j and qx > 0:
+            j = i
+        if not k:
+            if qy < 0:
+                k, a1, a2 = i, qx - px, qy - py
+            elif py - qy == 1:
+                s_edges.append(i)
+        px, py = qx, qy
     # with every edge down-right the walk is monotone, so it meets the open
     # first quadrant iff it crosses x1 = 0 above the origin
-    j = next(i for i, c in enumerate(coords) if c[0] > 0)
     (px, py), (qx, qy) = coords[j - 1], coords[j]
     if not py * qx > px * qy:
         return None
 
-    k = next(i for i, c in enumerate(coords) if c[1] < 0)
-    a1, a2 = edges[k - 1]
     alpha = Fraction(a1, -a2)
     t = -(a1 // a2) - 1  # ceil(alpha) - 1, as -a2 > 0
-    s_edges = tuple(i for i in range(1, k) if edges[i - 1][1] == -1)
     delta_flag = int(coords[k - 1][1] > 0 and a1 % a2 == 0)
     return SlopeProfile(
-        k, alpha, t, len(s_edges), s_edges, delta_flag, tuple(coords), frame, slope
+        k, alpha, t, len(s_edges), tuple(s_edges), delta_flag, tuple(coords), frame, slope
     )
 
 

@@ -54,9 +54,9 @@ from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
 from typing import Iterator, NamedTuple, Optional
 
-from .core import E1, E2, InvariantError, Sublattice, Vec, _new, steps
+from .core import E1, E2, NEG_E1, NEG_E2, InvariantError, Sublattice, Vec, _new, steps
 from .polygon import Polygon, polygon_free_of
-from .reduction import TypeTag, _clause_holds
+from .reduction import TypeTag, _clause_holds, _extent
 from .slopes import (
     CheckReport,
     Frame,
@@ -510,14 +510,15 @@ def type_ii_bound_pipeline(
     if n < 1:
         raise ValueError("the type clauses need n >= 1")
     frames = {
-        1: Frame(Vec(n, 0), -E1, E2),
-        2: Frame(Vec(n, n), -E1, -E2),
-        3: Frame(Vec(0, n), E1, -E2),
+        1: Frame(Vec(n, 0), NEG_E1, E2),
+        2: Frame(Vec(n, n), NEG_E1, NEG_E2),
+        3: Frame(Vec(0, n), E1, NEG_E2),
         4: Frame(Vec(0, 0), E1, E2),
     }
     # the type II clause: each side of the n-square splits the polygon
     # with its chord inside the side
-    if not _clause_holds(poly.vertices, "II", n):
+    verts = poly.vertices
+    if not _clause_holds(verts, "II", n, (_extent(verts, 0), _extent(verts, 1))):
         raise ValueError("polygon is not in type II position")
     ms = maximal_slopes(poly)
     # The two rays of a corner frame run along the sides at its corner, so

@@ -224,7 +224,7 @@ def test_every_pipeline_clause_has_a_firing_case():
     assert [name for name in PIPELINE_CASES if not any(matches(name, c) for c in clauses)] == []
 
 
-def _cli(flags: list[str], args: list[str]) -> tuple[int, str]:
+def _cli(flags: list[str], args: list[str]) -> tuple[int, str, str]:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -233,7 +233,7 @@ def _cli(flags: list[str], args: list[str]) -> tuple[int, str]:
     )
     # the verify summary reports its wall time
     out = "".join(line for line in proc.stdout.splitlines(keepends=True) if not line.startswith("elapsed:"))
-    return proc.returncode, out
+    return proc.returncode, out, proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +245,11 @@ def inputs(tmp_path_factory):
         "z2": {"delta": 1, "n": 1},
         "lat22": {"delta": 2, "n": 2},
         "slope": {"vertices": [[-2, 4], [2, -2]], "basis": [[1, 0], [0, 1]]},
+        # in type II position for n = 3, holding (3, 0), (3, 3) and (0, 3)
+        "held": {"vertices": [[-1, 2], [1, -1], [5, 1], [3, 3], [1, 4]]},
+        # type II for n = 5 with vertices in a (1, 5)-lattice
+        "b2": {"vertices": [[-1, 3], [2, -1], [6, 2], [3, 6]]},
+        "lat15": {"matrix": [[-2, -5], [1, 0]]},
     }
     for name, obj in objs.items():
         paths[name] = tmp / f"{name}.json"
@@ -273,6 +278,25 @@ def test_cli_under_python_O_matches(inputs, args):
     optimized = _cli(["-O"], args)
     assert plain[0] == 0 and plain[1]
     assert optimized == plain
+
+
+@pytest.mark.parametrize(
+    "args, code, out, err",
+    [
+        # slab normalization meets the point (3, 0) of 3Z^2 in its freeness test
+        (["check-bounds", "{held}", "--lattice", "{z2}", "--n", "3"], 1,
+         "", "error: polygon not lattice-free\n"),
+        # b = 2, so the pipeline checks the vertex lattice's large steps
+        (["check-bounds", "{b2}", "--lattice", "{lat15}", "--n", "5"], 0,
+         "type:            II_5\ncheck type_vertex_bound: ok\ncheck type_ii_bound_pipeline: ok\n", ""),
+    ],
+    ids=["held-corners", "large-steps"],
+)
+def test_check_bounds_under_python_O_matches(inputs, args, code, out, err):
+    args = [arg.format(**inputs) for arg in args]
+    plain = _cli([], args)
+    assert plain == (code, out, err)
+    assert _cli(["-O"], args) == plain
 
 
 def test_mistyped_marker_fails_collection(tmp_path):

@@ -160,6 +160,37 @@ class TestSlabNormalize:
         with pytest.raises(NotLatticeFreeError, match="not lattice-free"):
             slab_normalize(square, 2)
 
+    def test_freeness_is_read_off_remainders(self, monkeypatch):
+        # the clipped points are tested against n*Z^2 by x % n and y % n; the
+        # one Sublattice.contains call left is the automorphism check of the
+        # map's translation, which a polygon holding a point of n*Z^2 never
+        # reaches
+        rng = random.Random(43)
+        cases = []
+        for k in range(400):
+            n = 2 + k % 4
+            poly = random_convex_polygon(rng, span=n, max_points=6)
+            cases.append((poly, n, polygon_free_of(poly, Sublattice.rectangular(n, n))))
+        calls = []
+        contains = Sublattice.contains
+
+        def counting_contains(self, p):
+            calls.append(p)
+            return contains(self, p)
+
+        monkeypatch.setattr(Sublattice, "contains", counting_contains)
+        free = 0
+        for poly, n, want in cases:
+            calls.clear()
+            try:
+                translation = slab_normalize(poly, n).map.translation
+            except NotLatticeFreeError:
+                assert not want and calls == [], (poly, n)
+                continue
+            assert want and calls == [translation], (poly, n)
+            free += 1
+        assert 50 <= free <= len(cases) - 50, free
+
     def test_random_automorphic_images(self):
         rng = random.Random(41)
         lattice = Sublattice.rectangular(2, 2)
@@ -312,7 +343,8 @@ def test_case_b_one_one_is_never_normalized():
         chord = chord_interval(poly, Line.vertical(0))
         if not (0 < chord[0] and chord[1] < n):
             continue
-        if (reduction._split_index(poly, 0, n), reduction._split_index(poly, n, n)) != (1, 1):
+        verts, x2 = poly.vertices, reduction._extent(poly.vertices, 1)
+        if (reduction._split_index(verts, 0, n, x2), reduction._split_index(verts, n, n, x2)) != (1, 1):
             continue
         seen += 1
         east = bounding_stats(poly).east
@@ -473,8 +505,9 @@ def test_clause_table_matches_the_segment_oracle(clause_cases):
             want = satisfies_type_oracle(poly, TypeTag(kind, n))
             assert satisfies_type(poly, TypeTag(kind, n)) == want, (poly, kind, n)
             held[kind] += want
+        x2 = reduction._extent(poly.vertices, 1)
         for y in (-n, 0, n, 2 * n):
-            assert reduction._split_index(poly, y, n) == _split_index_oracle(poly, y, n)
+            assert reduction._split_index(poly.vertices, y, n, x2) == _split_index_oracle(poly, y, n)
         crossed += _crosses_a_multiple(poly, n)
     # every clause holds somewhere, and chords across a multiple of n occur
     assert all(held[kind] >= 5 for kind in TAGS), held
@@ -484,13 +517,32 @@ def test_clause_table_matches_the_segment_oracle(clause_cases):
             check(QUAD, TypeTag("VII", 3))
 
 
+def test_type_clauses_read_each_extent_once(monkeypatch, clause_cases, oracle_cases):
+    # a clause reads the x1 and x2 extents of the vertex tuple at most once
+    # each and hands them to every line it tests; classification reads them
+    # once more for the split profile of the normalized image
+    calls = count_calls(monkeypatch, "_extent")
+    for poly, n in clause_cases:
+        for kind in TAGS:
+            calls.clear()
+            satisfies_type(poly, TypeTag(kind, n))
+            assert len(calls) <= 2, (poly, kind, n)
+    for poly, n in oracle_cases:
+        calls.clear()
+        try:
+            classify_type(poly, n)
+        except ClassificationError:
+            pass
+        assert len(calls) <= 4, (poly, n)
+
+
 def test_type_clauses_build_no_vec(monkeypatch, clause_cases):
     # the clauses read plain integer lines off the vertex tuple
     calls = count_new(monkeypatch, Vec)
     for poly, n in clause_cases[:200]:
         for kind in TAGS:
             satisfies_type(poly, TypeTag(kind, n))
-        reduction._split_index(poly, 0, n)
+        reduction._split_index(poly.vertices, 0, n, reduction._extent(poly.vertices, 1))
     assert calls == []
 
 
@@ -506,7 +558,7 @@ def test_cell_is_none_when_no_line_split():
             coords = {v[axis] for v in poly.vertices}
             for c in range(min(coords) - 1, max(coords) + 2):
                 line = line_at(c)
-                cell = reduction._cell(poly.vertices, axis, c, n)
+                cell = reduction._cell(poly.vertices, axis, c, n, reduction._extent(poly.vertices, axis))
                 if not line_splits(poly, line):
                     assert cell is None, (poly, axis, c, n)
                     touching += c in coords

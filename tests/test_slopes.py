@@ -128,16 +128,7 @@ class TestBasisCoords:
     def test_each_profile_inverts_once(self, monkeypatch):
         # one inversion maps the origin; the vertices' frame coordinates are
         # the slope's own, shifted and, in a swapped frame, swapped
-        rng = random.Random(37)
-        cases = []
-        while len(cases) < 200:
-            f = random_unimodular(rng)
-            inst = random_splitting_instance(rng, [(Vec(f.a11, f.a21), Vec(f.a12, f.a22))])
-            if inst is None:
-                continue
-            frame, slope = inst
-            inv = Mat2.from_columns(frame.f1, frame.f2).inverse_unimodular()
-            cases.append((frame, slope, [inv.mul_vec(v - frame.origin) for v in slope.vertices]))
+        cases = _skew_splitting_cases()
         calls = count_inversions(monkeypatch)
         swapped = 0
         for frame, slope, mapped in cases:
@@ -147,6 +138,22 @@ class TestBasisCoords:
             assert list(prof.coords) in (mapped, mapped[::-1])
             swapped += frame.f1 != slope.f1
         assert 0 < swapped < len(cases)
+
+
+def _skew_splitting_cases() -> list:
+    # 200 seeded splitting instances in random unimodular bases, each with
+    # its vertices mapped into frame coordinates by a direct inversion
+    rng = random.Random(37)
+    cases = []
+    while len(cases) < 200:
+        f = random_unimodular(rng)
+        inst = random_splitting_instance(rng, [(Vec(f.a11, f.a21), Vec(f.a12, f.a22))])
+        if inst is None:
+            continue
+        frame, slope = inst
+        inv = Mat2.from_columns(frame.f1, frame.f2).inverse_unimodular()
+        cases.append((frame, slope, [inv.mul_vec(v - frame.origin) for v in slope.vertices]))
+    return cases
 
 
 class TestMaximalSlopes:
@@ -350,6 +357,24 @@ class TestSmallAngle:
                 slope_profile(frame, slope).small_angle
                 or slope_profile(swapped, slope).small_angle
             )
+
+    def test_small_angle_compares_no_fraction(self, monkeypatch):
+        # the crossing edge's ratio a1 / -a2 is at least one iff a1 >= -a2,
+        # so the test reads integers and never compares alpha with 1
+        profiles = [slope_profile(frame, slope) for frame, slope, _ in _skew_splitting_cases()]
+        want = [prof.alpha >= 1 for prof in profiles]
+        calls = []
+        for name in ("__ge__", "__gt__", "__le__", "__lt__", "__eq__"):
+            original = getattr(Fraction, name)
+
+            def counting(a, b, _original=original):
+                calls.append((a, b))
+                return _original(a, b)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        assert [prof.small_angle for prof in profiles] == want
+        assert calls == []
+        assert 0 < sum(want) < len(want)
 
     def test_low_crossing_point_forces_small_angle(self):
         rng = random.Random(71)

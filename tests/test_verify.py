@@ -457,30 +457,36 @@ class TestFanDP:
         assert rep.consistent
         assert len(rep.witness) == 10 and polygon_free_of(rep.witness, lattice)
 
-    @pytest.mark.slow
-    def test_settles_5_5_on_the_slab_box(self):
-        lattice = Sublattice.rectangular(5, 5)
-        rep = verify_vertex_threshold(lattice)
-        assert rep.box == SearchBox(-4, 9, -4, 9)
-        assert rep.max_vertices_found == 12 == rep.nu - 1
-        assert rep.instances_checked == 327_816_568
-        assert rep.chains_explored == 563_028  # DP states over the 192 starts
-        assert rep.consistent
-        assert len(rep.witness) == 12 and polygon_free_of(rep.witness, lattice)
+    # The (5,5) and (6,6) pins read their SETTLED.json rows, which the slow
+    # test_settled_row_replays solves again and compares whole.
 
-    @pytest.mark.slow
+    def test_settles_5_5_on_the_slab_box(self):
+        lattice, row = _settled_row(5, 5)
+        assert SearchBox(*row["box"]) == SearchBox(-4, 9, -4, 9)
+        assert row["max_vertices_found"] == 12 == row["nu"] - 1
+        assert row["instances_checked"] == 327_816_568
+        assert row["chains_explored"] == 563_028  # DP states over the 192 starts
+        assert row["consistent"]
+        witness = Polygon.from_obj(row["witness"])
+        assert len(witness) == 12 and polygon_free_of(witness, lattice)
+
     def test_settles_6_6_on_the_slab_box(self):
-        lattice = Sublattice.rectangular(6, 6)
-        rep = verify_vertex_threshold(lattice)
-        assert rep.box == SearchBox(-5, 11, -5, 11)
-        assert rep.max_vertices_found == 14 == rep.nu - 1
-        assert rep.instances_checked == 11_317_540_633
-        assert rep.chains_explored == 1_883_780
-        assert rep.consistent
-        assert len(rep.witness) == 14 and polygon_free_of(rep.witness, lattice)
+        lattice, row = _settled_row(6, 6)
+        assert SearchBox(*row["box"]) == SearchBox(-5, 11, -5, 11)
+        assert row["max_vertices_found"] == 14 == row["nu"] - 1
+        assert row["instances_checked"] == 11_317_540_633
+        assert row["chains_explored"] == 1_883_780
+        assert row["consistent"]
+        witness = Polygon.from_obj(row["witness"])
+        assert len(witness) == 14 and polygon_free_of(witness, lattice)
 
 
 SETTLED = json.loads((Path(__file__).resolve().parents[1] / "SETTLED.json").read_text())
+
+
+def _settled_row(delta: int, n: int) -> tuple[Sublattice, dict]:
+    row = next(r for r in SETTLED["rows"] if r["lattice"] == {"delta": delta, "n": n})
+    return Sublattice.from_obj(row["lattice"]), row
 
 
 def test_settled_table():
@@ -682,6 +688,28 @@ class TestTypeIIPipeline:
         type_ii_bound_pipeline(poly, n, lattice)
         assert len(side_calls) == 4
         assert type_calls == []
+
+    @pytest.mark.parametrize("poly, n, lattice", TYPE_II_CASES, ids=TYPE_II_IDS)
+    def test_each_extent_read_once(self, monkeypatch, poly, n, lattice):
+        # the type II clause reads the x1 and x2 extents once for its four sides
+        calls = count_calls(monkeypatch, "_extent")
+        assert type_ii_bound_pipeline(poly, n, lattice).ok
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("poly, n, lattice", TYPE_II_CASES, ids=TYPE_II_IDS)
+    def test_corner_frames_negate_no_vector(self, monkeypatch, poly, n, lattice):
+        # the turned axis bases of the corner frames and the maximal slopes
+        # are module constants
+        calls = []
+        neg = Vec.__neg__
+
+        def counting_neg(self):
+            calls.append(self)
+            return neg(self)
+
+        monkeypatch.setattr(Vec, "__neg__", counting_neg)
+        assert type_ii_bound_pipeline(poly, n, lattice).ok
+        assert calls == []
 
     def test_failed_corner_frames_end_the_pipeline(self):
         # type II position, but (3, 0), (3, 3) and (0, 3) lie in the polygon,
